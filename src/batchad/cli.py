@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,20 +33,6 @@ from .errors import ConfigError
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
 from .model import load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
-
-THREADS_ENV = "BATCHAD_THREADS"
-
-
-def _workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be at least 1, got {n}")
-    return n
-
 
 def _load_config(args) -> ExperimentConfig:
     values = {}
@@ -228,7 +213,6 @@ def cmd_eval(args) -> int:
         seed=cfg.eval_seed,
         batch_size=cfg.eval_batch_size,
         batches_per_run=cfg.eval_batches,
-        workers=_workers(),
     )
     # shift diagnostic: train-mixture vs unseen-test gap, in latent space and raw
     kw = dict(n_batches=20, batch_size=cfg.eval_batch_size, seed=cfg.eval_seed)
@@ -295,7 +279,6 @@ def cmd_ablate(args) -> int:
             f"unknown suite {args.suite!r} (known: {', '.join(ABLATE_SUITES)})"
         )
     cfg = _load_config(args)
-    workers = _workers()
     rows = []
     records = []
 
@@ -308,7 +291,6 @@ def cmd_ablate(args) -> int:
             seed=cfg.eval_seed,
             batch_size=cfg.eval_batch_size,
             batches_per_run=cfg.eval_batches,
-            workers=workers,
         )
 
     if args.suite == "batch-size":
@@ -327,7 +309,6 @@ def cmd_ablate(args) -> int:
                 seed=cfg.eval_seed,
                 batch_size=b,
                 batches_per_run=cfg.eval_batches,
-                workers=workers,
             )
             mean, std = report.per_ratio[ratio]
             cell = {"batch_size": b, "anomaly_ratio": ratio}

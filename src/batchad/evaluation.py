@@ -9,7 +9,6 @@ aggregates AUROC over rotations and independent runs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,15 +39,12 @@ def tie_average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their rank range."""
     values = np.asarray(values)
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=DTYPE)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
+    # a tie group starts wherever the sorted value changes (NaN never ties)
+    start = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    end = np.r_[start[1:], len(values)]
+    ranks = np.empty(len(values), dtype=DTYPE)
+    ranks[order] = np.repeat(0.5 * (start + 1 + end), end - start)
     return ranks
 
 
@@ -196,15 +192,13 @@ def evaluate(
     batch_size: int = 60,
     batches_per_run: int = 25,
     tau: float | None = None,
-    workers: int = 1,
 ) -> EvalReport:
     """One-vs-rest evaluation over the test meta-set.
 
     For every test pool (rotation), anomaly ratio, and run, builds
     ``batches_per_run`` contaminated batches, scores them, and computes one
     AUROC per cell from the pooled scores. Cell RNG streams depend only on
-    (seed, rotation, run), so results are independent of execution order and
-    of ``workers``.
+    (seed, rotation, run), so results are independent of execution order.
     """
     ratios = [float(r) for r in ratios]
     for r in ratios:
@@ -222,17 +216,10 @@ def evaluate(
             for run in range(runs):
                 jobs.append((ri, rotation, run, mix))
 
-    def run_job(job):
-        ri, rotation, run, mix = job
-        return _eval_cell(
-            model, meta_test, rotation, mix, [seed, ri, rotation, run], batches_per_run
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_job, jobs))
-    else:
-        outcomes = [run_job(job) for job in jobs]
+    outcomes = [
+        _eval_cell(model, meta_test, rotation, mix, [seed, ri, rotation, run], batches_per_run)
+        for ri, rotation, run, mix in jobs
+    ]
 
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))
     n_scored = 0

@@ -33,6 +33,8 @@ HEAD_BCE = "bce"
 HEADS = (HEAD_DSVDD, HEAD_BCE)
 
 CHECKPOINT_MAGIC = b"batchad-checkpoint v1\n"
+# the only per-layer statistics a checkpoint may carry
+STAT_FIELDS = ("frozen_mean", "frozen_var")
 
 
 @dataclass(frozen=True)
@@ -134,15 +136,16 @@ class DetectorModel:
         return mode if self.bn_mask[bn_index] else BN_IDENTITY
 
     def forward(self, x: np.ndarray, mode: str | None = None, record: bool = False):
-        """Run the full stack. Returns (head output, latent, tape).
+        """Run the full stack on a (batch, features) batch or a (tasks, batch,
+        features) stack. Returns (head output, latent, tape).
 
         ``latent`` is the activation after the last normalization position,
         the representation the generalization diagnostic inspects.
         """
-        x = as_batch(x)
-        if x.shape[1] != self.arch.input_dim:
+        x = as_batch(x, stacked=True)
+        if x.shape[-1] != self.arch.input_dim:
             raise ValueError(
-                f"model expects {self.arch.input_dim} features, got {x.shape[1]}"
+                f"model expects {self.arch.input_dim} features, got {x.shape[-1]}"
             )
         mode = self.bn_mode if mode is None else mode
         tape = []
@@ -163,7 +166,7 @@ class DetectorModel:
         return x, latent, tape
 
     def score_batch(self, x: np.ndarray, mode: str | None = None) -> ScoreVector:
-        out, _latent, _tape = self.forward(x, mode=mode)
+        out, _latent, _tape = self.forward(as_batch(x), mode=mode)
         if self.head == HEAD_DSVDD:
             return dsvdd_scores(out, self.center, self.inverse_eps)
         return bce_scores(out[:, 0])
@@ -180,9 +183,16 @@ class DetectorModel:
         mode: str | None = None,
         record: bool = False,
     ):
-        """Loss value plus gradients w.r.t. every parameter (one batch)."""
+        """Loss value plus gradients w.r.t. every parameter, for one batch or
+        a stack of equally sized batches.
+
+        The loss is the mean over all rows, which for a stack is the mean of
+        the per-batch losses; gradients follow it.
+        """
         out, _latent, tape = self.forward(x, mode=mode, record=record)
         y = np.asarray(y, dtype=DTYPE).reshape(-1)
+        stacked_shape = out.shape
+        out = out.reshape(-1, stacked_shape[-1])
         b = out.shape[0]
         if y.shape[0] != b:
             raise ValueError("labels and batch disagree on length")
@@ -216,7 +226,7 @@ class DetectorModel:
                 raise ValueError(f"unknown loss {loss_kind!r}")
             g_out = dl_dt[:, None]
 
-        grad = g_out
+        grad = g_out.reshape(stacked_shape)
         for (name, kind, layer), cache in zip(reversed(self.blocks), reversed(tape)):
             if kind == "relu":
                 grad = relu_backward(grad, cache)
@@ -248,8 +258,8 @@ class DetectorModel:
 def _stat_items(model: DetectorModel):
     for name, kind, layer in model.blocks:
         if kind == "bn" and layer.frozen_mean is not None:
-            yield f"{name}.frozen_mean", layer.frozen_mean
-            yield f"{name}.frozen_var", layer.frozen_var
+            for field in STAT_FIELDS:
+                yield f"{name}.{field}", getattr(layer, field)
 
 
 def save_checkpoint(model: DetectorModel, path) -> None:
@@ -323,8 +333,16 @@ def load_checkpoint(path) -> DetectorModel:
         params[name][...] = take(shape)
     bn_layers = {name: layer for name, kind, layer in model.blocks if kind == "bn"}
     for name, shape in header["stats"]:
-        layer_name, field = name.rsplit(".", 1)
-        setattr(bn_layers[layer_name], field, take(shape))
+        layer_name, _, field = str(name).rpartition(".")
+        layer = bn_layers.get(layer_name)
+        if layer is None or field not in STAT_FIELDS or shape != [layer.dim]:
+            raise ValueError(f"checkpoint statistic {name} does not fit this model")
+        setattr(layer, field, take(shape))
+    for name, layer in bn_layers.items():
+        if (layer.frozen_mean is None) != (layer.frozen_var is None):
+            raise ValueError(
+                f"checkpoint lists only one of {name}.frozen_mean and {name}.frozen_var"
+            )
     if offset != len(blob):
         raise ValueError("checkpoint has trailing bytes")
     return model

@@ -1,12 +1,16 @@
 """Dense neural-network substrate: linear layers, ReLU, batch normalization
 with batch-computed statistics, reverse-mode gradients, and Adam.
 
-All activations are float64 numpy arrays of shape (batch, features). Forward
-passes return an ``(output, cache)`` pair; the cache is call-local so that a
-trained model can score concurrent batches without interior mutation. The only
-stateful exception is the optional ``record`` flag on :class:`BatchNorm`,
-used by the trainer to remember the statistics of the most recent training
-batch (the "frozen statistics" scoring mode).
+All activations are float64 numpy arrays of shape ``(..., batch, features)``:
+either one ``(batch, features)`` batch or a ``(tasks, batch, features)`` stack
+of equally sized batches. Batch normalization takes its statistics per batch
+along the row axis (``axis=-2``), so a stack computes exactly what a loop over
+its batches would; parameter gradients are summed over every row of the stack.
+Forward passes return an ``(output, cache)`` pair; the cache is call-local so
+that a trained model can score concurrent batches without interior mutation.
+The only stateful exception is the optional ``record`` flag on
+:class:`BatchNorm`, used by the trainer to remember the statistics of the most
+recent training batch (the "frozen statistics" scoring mode).
 """
 
 from __future__ import annotations
@@ -23,12 +27,21 @@ BN_FROZEN = "frozen"
 BN_MODES = (BN_BATCH, BN_IDENTITY, BN_FROZEN)
 
 
-def as_batch(x) -> np.ndarray:
-    """Coerce input to a 2-D float64 array without copying when possible."""
+def as_batch(x, stacked: bool = False) -> np.ndarray:
+    """Coerce input to a 2-D (batch, features) float64 array without copying
+    when possible; with ``stacked`` a 3-D (tasks, batch, features) stack is
+    accepted too."""
     arr = np.asarray(x, dtype=DTYPE)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D (batch, features) array, got shape {arr.shape}")
+    if arr.ndim != 2 and not (stacked and arr.ndim == 3):
+        want = "(batch, features) or (tasks, batch, features)" if stacked else "(batch, features)"
+        raise ValueError(f"expected a {want} array, got shape {arr.shape}")
     return arr
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums over the row axis (per batch of a stack), shape
+    (..., features); a ones-vector product runs faster than ``sum(axis=-2)``."""
+    return np.ones(a.shape[-2], dtype=DTYPE) @ a
 
 
 class Linear:
@@ -46,16 +59,19 @@ class Linear:
         self.out_dim = out_dim
 
     def forward(self, x: np.ndarray):
-        if x.shape[1] != self.in_dim:
+        if x.shape[-1] != self.in_dim:
             raise ValueError(
-                f"linear layer expects {self.in_dim} input features, got {x.shape[1]}"
+                f"linear layer expects {self.in_dim} input features, got {x.shape[-1]}"
             )
-        return x @ self.weight.T + self.bias, x
+        # one matmul over all rows of a stack
+        rows = x.reshape(-1, self.in_dim) @ self.weight.T + self.bias
+        return rows.reshape(*x.shape[:-1], self.out_dim), x
 
     def backward(self, grad: np.ndarray, cache):
-        x = cache
-        grads = {"weight": grad.T @ x, "bias": grad.sum(axis=0)}
-        return grad @ self.weight, grads
+        x = cache.reshape(-1, self.in_dim)
+        rows = grad.reshape(-1, self.out_dim)
+        grads = {"weight": rows.T @ x, "bias": _row_sums(rows)}
+        return (rows @ self.weight).reshape(cache.shape), grads
 
     def param_items(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -66,13 +82,17 @@ class BatchNorm:
 
     Three behaviors (chosen per call, not stored):
 
-    - ``batch``: normalize with the mean and biased variance of the current
-      batch. Requires at least two rows.
+    - ``batch``: normalize each batch with its own mean and biased variance
+      (for a stack, each batch of the stack separately). Requires at least
+      two rows per batch.
     - ``identity``: skip normalization; the layer reduces to ``gamma*x + beta``
       (the normalization-off ablation).
     - ``frozen``: normalize with statistics previously captured via
       ``record=True`` and :meth:`freeze` (train-time statistics reused at
-      scoring time).
+      scoring time). ``record`` keeps the statistics of the last batch of the
+      stack; the trainer stacks its tasks in content-key order, so a frozen
+      model holds the statistics of the last task, in that order, of the
+      final training iteration.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -91,18 +111,21 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, mode: str = BN_BATCH, record: bool = False):
         if mode == BN_BATCH:
-            if x.shape[0] < 2:
+            b = x.shape[-2]
+            if b < 2:
                 raise BatchTooSmallError(
-                    "batch statistics need at least 2 rows, got "
-                    f"{x.shape[0]}"
+                    f"batch statistics need at least 2 rows, got {b}"
                 )
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased (population) variance
+            # one centering pass; the biased variance comes from the centered rows
+            mean = _row_sums(x)[..., None, :] / b
+            xhat = x - mean
+            var = np.einsum("...ij,...ij->...j", xhat, xhat) / b
             if record:
-                self.last_mean = mean.copy()
-                self.last_var = var.copy()
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv
+                # fresh arrays every call, so views of the last batch are safe
+                self.last_mean = mean.reshape(-1, self.dim)[-1]
+                self.last_var = var.reshape(-1, self.dim)[-1]
+            inv = (1.0 / np.sqrt(var + self.eps))[..., None, :]
+            xhat *= inv
             return self.gamma * xhat + self.beta, (BN_BATCH, xhat, inv)
         if mode == BN_FROZEN:
             if self.frozen_mean is None:
@@ -116,14 +139,18 @@ class BatchNorm:
 
     def backward(self, grad: np.ndarray, cache):
         mode, xhat, inv = cache
-        grads = {"gamma": (grad * xhat).sum(axis=0), "beta": grad.sum(axis=0)}
+        # per-batch sums; the parameter gradients add them over the stack
+        g_sum = _row_sums(grad)[..., None, :]
+        gx_sum = np.einsum("...ij,...ij->...j", grad, xhat)[..., None, :]
+        grads = {
+            "gamma": gx_sum.reshape(-1, self.dim).sum(axis=0),
+            "beta": g_sum.reshape(-1, self.dim).sum(axis=0),
+        }
         if mode == BN_BATCH:
-            # mean and variance depend on every row: full batch-coupled Jacobian
-            b = grad.shape[0]
-            gh = grad * self.gamma
-            gx = (inv / b) * (
-                b * gh - gh.sum(axis=0) - xhat * (gh * xhat).sum(axis=0)
-            )
+            # mean and variance depend on every row of the batch: full
+            # batch-coupled Jacobian
+            b = grad.shape[-2]
+            gx = (self.gamma * inv / b) * (b * grad - g_sum - xhat * gx_sum)
             return gx, grads
         if mode == BN_FROZEN:
             return grad * self.gamma * inv, grads

@@ -1,10 +1,11 @@
 """Meta-training loop: sample contaminated tasks, average their gradients,
 take one optimizer step per iteration.
 
-Each task is forwarded separately so that normalization statistics never mix
-across tasks; the per-task gradients are reduced in a canonical content-based
-order, which makes the parameter update exactly invariant to the order in
-which tasks were sampled within an iteration.
+The tasks of an iteration are sorted by a content-based key and stacked into
+one (tasks, batch, features) array, which is forwarded and backpropagated in
+one pass. Normalization statistics are taken per task, so they never mix
+across tasks; the canonical order makes the parameter update exactly
+invariant to the order in which tasks were sampled within an iteration.
 """
 
 from __future__ import annotations
@@ -130,40 +131,25 @@ def average_task_gradients(
     mode: str,
     record: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and mean gradients over tasks, each forwarded separately.
+    """Mean loss and mean gradients over equally sized tasks, in one pass.
 
-    Per-task contributions are summed in a canonical content-based order, so
-    the result is bit-identical under any permutation of ``tasks``.
+    The tasks are stacked in a canonical content-based order, each with its
+    own normalization statistics, so the result is bit-identical under any
+    permutation of ``tasks``.
     """
-    contribs = []
-    for task in tasks:
-        loss, grads = model.loss_and_grads(
-            task.x, task.y, loss_kind=loss_kind, mode=mode, record=record
-        )
-        contribs.append((_task_key(task), loss, grads))
-    contribs.sort(key=lambda c: c[0])
-
-    mean_loss = 0.0
-    for _, loss, _ in contribs:
-        mean_loss += loss
-    mean_loss /= len(contribs)
-
-    avg: dict[str, np.ndarray] = {}
-    for name in contribs[0][2]:
-        total = contribs[0][2][name].copy()
-        for _, _, grads in contribs[1:]:
-            total += grads[name]
-        total /= len(contribs)
-        avg[name] = total
-    return mean_loss, avg
+    tasks = sorted(tasks, key=_task_key)
+    x = np.stack([task.x for task in tasks])
+    y = np.stack([task.y for task in tasks])
+    return model.loss_and_grads(x, y, loss_kind=loss_kind, mode=mode, record=record)
 
 
 def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainReport]:
     """Run the full meta-training loop and return the trained model.
 
     Per iteration: sample ``tasks_per_iter`` contaminated tasks, forward and
-    backprop each task batch on its own (its own normalization statistics),
-    average the per-task losses and gradients, and apply one Adam step.
+    backprop them as one stack (each task with its own normalization
+    statistics), average the losses and gradients over the tasks, and apply
+    one Adam step.
     """
     if cfg.pi < 1.0 and meta.k < 2 and meta.anomaly_pool is None:
         raise ConfigError("pi < 1 needs at least two pools in the meta-set")

@@ -72,9 +72,12 @@ def min_prerelu_margin(model, x: np.ndarray, mode: str) -> float:
     return margin
 
 
-def smooth_random_instance(seed: int, head: str = "dsvdd", mode: str = "batch", batch: int = 5):
-    """A small random model plus a labeled batch, resampled until the loss
-    surface is smooth within the finite-difference step around the instance."""
+def smooth_random_instance(
+    seed: int, head: str = "dsvdd", mode: str = "batch", batch: int = 5, tasks: int | None = None
+):
+    """A small random model plus a labeled batch (or, with ``tasks``, a
+    (tasks, batch, features) stack), resampled until the loss surface is
+    smooth within the finite-difference step around the instance."""
     from batchad.model import Architecture, DetectorModel
 
     for attempt in range(50):
@@ -86,10 +89,11 @@ def smooth_random_instance(seed: int, head: str = "dsvdd", mode: str = "batch", 
                 p += rng.normal(0.0, 0.1, p.shape)
             elif name.endswith(("beta", "bias", "center")):
                 p += rng.normal(0.0, 0.3, p.shape)
-        x = rng.normal(size=(batch, 3))
-        y = (rng.random(batch) < 0.4).astype(float)
+        rows = (batch,) if tasks is None else (tasks, batch)
+        x = rng.normal(size=(*rows, 3))
+        y = (rng.random(rows) < 0.4).astype(float)
         if y.sum() == 0:
-            y[0] = 1.0
+            y.flat[0] = 1.0
         if min_prerelu_margin(model, x, mode) > 5 * FD_STEP:
             return model, x, y
     raise AssertionError("could not build a smooth instance")
@@ -110,6 +114,23 @@ def pair_count_auroc(scores, labels) -> float:
             elif p == q:
                 ties += 1.0
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def reference_tie_average_ranks(values) -> np.ndarray:
+    """Tie-averaged 1-based ranks by walking the sorted values group by group;
+    the oracle for the vectorized ranks in ``batchad.evaluation``."""
+    values = np.asarray(values)
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i + 1
+        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    return ranks
 
 
 def spearman_rho(x, y) -> float:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from batchad.cli import main
@@ -141,6 +142,28 @@ class TestEval:
         assert code == 2
         assert "zero anomalies" in capsys.readouterr().err
 
+    @staticmethod
+    def add_stat(ckpt, name, dim):
+        """Append a ``stats`` entry (and its bytes) to a checkpoint file."""
+        magic, header, blob = ckpt.read_bytes().split(b"\n", 2)
+        head = json.loads(header)
+        head["stats"].append([name, [dim]])
+        ckpt.write_bytes(
+            magic + b"\n" + json.dumps(head).encode() + b"\n" + blob
+            + np.ones(dim, dtype="<f8").tobytes()
+        )
+
+    @pytest.mark.parametrize("stat", ["bn9.frozen_mean", "bn0.gamma", "bn0.frozen_mean"])
+    def test_foreign_statistic_is_runtime_error(self, stat, tiny_config, tmp_path, capsys):
+        # bn9 is not a layer of the model; gamma is a parameter, not a
+        # statistic; a frozen mean without its variance is incomplete
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        self.add_stat(ckpt, stat, 8)
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        assert stat in capsys.readouterr().err
+
     def test_missing_checkpoint(self, tiny_config, tmp_path, capsys):
         code = main(["eval", "--config", str(tiny_config), "--model", str(tmp_path / "no.ckpt")])
         assert code == 2
@@ -225,25 +248,3 @@ class TestAblate:
         assert [r["cell"]["train_classes"] for r in records] == [1, 2, 4, 8]
         # a single training pool has no complement to contaminate from
         assert records[0]["cell"]["pi"] == 1.0
-
-
-class TestThreadEnv:
-    def test_worker_count_does_not_change_results(self, tiny_config, tmp_path, capsys, monkeypatch):
-        ckpt = tmp_path / "m.ckpt"
-        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
-        results = tmp_path / "r.jsonl"
-        for threads in ("1", "4"):
-            monkeypatch.setenv("BATCHAD_THREADS", threads)
-            main([
-                "eval", "--config", str(tiny_config), "--model", str(ckpt),
-                "--out", str(results),
-            ])
-        a, b = [json.loads(line) for line in results.read_text().splitlines()]
-        assert a["auroc"] == b["auroc"]
-
-    def test_bad_thread_value_is_config_error(self, tiny_config, tmp_path, capsys, monkeypatch):
-        ckpt = tmp_path / "m.ckpt"
-        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
-        monkeypatch.setenv("BATCHAD_THREADS", "zero")
-        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
-        assert code == 2

@@ -10,6 +10,17 @@ from batchad.nn import Adam, BatchNorm, Linear, relu_backward, relu_forward
 from helpers import REL_TOL, max_rel_error, numeric_grad, smooth_random_instance
 
 
+# one (tasks, batch, features) case next to the (batch, features) seeds
+STACKED_TASKS = 3
+
+
+def seeds_and_stack(n: int):
+    """``n`` seeds on a (batch, features) batch, plus one seed on a stack."""
+    return [pytest.param(s, None, id=str(s)) for s in range(n)] + [
+        pytest.param(n, STACKED_TASKS, id="stacked")
+    ]
+
+
 def make_linear(weight, bias):
     lin = Linear(len(weight[0]), len(weight), np.random.default_rng(0))
     lin.weight[...] = weight
@@ -145,15 +156,17 @@ class TestBackwardGradients:
         assert max_rel_error(grads["bias"], n_b) <= REL_TOL
         assert max_rel_error(gx, n_x) <= REL_TOL
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_batchnorm_matches_finite_differences(self, seed):
+    @pytest.mark.parametrize("seed, tasks", seeds_and_stack(6))
+    def test_batchnorm_matches_finite_differences(self, seed, tasks):
         # the batch-coupled Jacobian: mean and variance depend on every row
+        # of the batch (of each batch, for a stack)
         rng = np.random.default_rng(100 + seed)
         bn = BatchNorm(3)
         bn.gamma[...] = rng.normal(1.0, 0.2, 3)
         bn.beta[...] = rng.normal(0.0, 0.2, 3)
-        x = rng.normal(size=(6, 3))
-        proj = rng.normal(size=(6, 3))
+        shape = (6, 3) if tasks is None else (tasks, 6, 3)
+        x = rng.normal(size=shape)
+        proj = rng.normal(size=shape)
 
         def loss():
             return float((bn.forward(x)[0] * proj).sum())
@@ -172,9 +185,9 @@ class TestBackwardGradients:
 
 
 class TestFullNetworkGradients:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_dsvdd_meta_oe(self, seed):
-        model, x, y = smooth_random_instance(seed)
+    @pytest.mark.parametrize("seed, tasks", seeds_and_stack(8))
+    def test_dsvdd_meta_oe(self, seed, tasks):
+        model, x, y = smooth_random_instance(seed, tasks=tasks)
         _, grads = model.loss_and_grads(x, y)
 
         params = model.params()
@@ -186,9 +199,9 @@ class TestFullNetworkGradients:
         for (name, _), n in zip(params.items(), numeric):
             assert max_rel_error(grads[name], n) <= REL_TOL, name
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bce_meta_oe(self, seed):
-        model, x, y = smooth_random_instance(seed + 50, head="bce")
+    @pytest.mark.parametrize("seed, tasks", seeds_and_stack(4))
+    def test_bce_meta_oe(self, seed, tasks):
+        model, x, y = smooth_random_instance(seed + 50, head="bce", tasks=tasks)
         _, grads = model.loss_and_grads(x, y)
         params = model.params()
 

@@ -9,6 +9,7 @@ from batchad.scores import ScoreVector
 from batchad.tasks import MetaDataset, MixtureConfig, sample_iteration_tasks
 from batchad.training import (
     TrainConfig,
+    _task_key,
     average_task_gradients,
     meta_oe_loss,
     no_bn_trivial_loss_value,
@@ -159,6 +160,38 @@ class TestTaskOrderInvariance:
         assert loss_a == loss_b
         for name in grads_a:
             assert np.array_equal(grads_a[name], grads_b[name]), name
+
+
+class TestStackedReduction:
+    def setup_iteration(self, tasks_per_iter=5):
+        meta = toy_two_pool_meta(n=400)
+        model, _ = train(meta, small_cfg(iterations=3))
+        mixture = MixtureConfig(pi=0.8, batch_size=16, tasks_per_iter=tasks_per_iter)
+        return model, sample_iteration_tasks(meta, mixture, np.random.default_rng(5))
+
+    def test_matches_mean_of_per_task_passes(self):
+        model, tasks = self.setup_iteration()
+        loss, grads = average_task_gradients(model, tasks, "meta_oe", "batch")
+        per_task = [model.loss_and_grads(t.x, t.y, loss_kind="meta_oe") for t in tasks]
+        ref_loss = sum(l for l, _ in per_task) / len(tasks)
+        assert abs(loss - ref_loss) <= 1e-15 * abs(ref_loss)
+        # absolute floor: the gradients of biases ahead of a normalization
+        # layer are analytically zero and agree only to rounding
+        scale = max(np.abs(g).max() for g in grads.values())
+        for name, g in grads.items():
+            ref = sum(pt[1][name] for pt in per_task) / len(tasks)
+            assert np.abs(g - ref).max() <= 1e-12 * scale, name
+
+    def test_records_last_task_in_key_order(self):
+        model, tasks = self.setup_iteration()
+        average_task_gradients(model, tasks, "meta_oe", "batch", record=True)
+        bns = [layer for _n, kind, layer in model.blocks if kind == "bn"]
+        stacked = [(bn.last_mean.copy(), bn.last_var.copy()) for bn in bns]
+        last = max(tasks, key=_task_key)
+        model.loss_and_grads(last.x, last.y, record=True)
+        for bn, (mean, var) in zip(bns, stacked):
+            np.testing.assert_allclose(mean, bn.last_mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(var, bn.last_var, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpoint:
