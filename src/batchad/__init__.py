@@ -23,12 +23,18 @@ from .evaluation import (
     auroc,
     collect_latents,
     evaluate,
-    score_batch,
     threshold_predict,
     tv_distance_diagnostic,
 )
 from .model import Architecture, DetectorModel, load_checkpoint, save_checkpoint
-from .scores import ScoreVector, bce_scores, dsvdd_scores, naive_bn_score
+from .scores import (
+    ScoreVector,
+    bce_scores,
+    dsvdd_scores,
+    meta_oe_loss,
+    naive_bn_score,
+    one_class_loss,
+)
 from .tasks import (
     MetaDataset,
     MixtureConfig,
@@ -38,14 +44,7 @@ from .tasks import (
     permute_attributes,
     sample_iteration_tasks,
 )
-from .training import (
-    TrainConfig,
-    TrainReport,
-    meta_oe_loss,
-    no_bn_trivial_loss_value,
-    one_class_loss,
-    train,
-)
+from .training import TrainConfig, TrainReport, no_bn_trivial_loss_value, train
 
 __all__ = [
     "Architecture",
@@ -80,7 +79,6 @@ __all__ = [
     "sample_iteration_tasks",
     "save_checkpoint",
     "save_metaset_csv",
-    "score_batch",
     "threshold_predict",
     "train",
     "tv_distance_diagnostic",

@@ -14,12 +14,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, parse_flat_config, resolve_config
+from .config import ExperimentConfig, parse_flat_config, resolve_config, train_config_from
 from .data import (
     GAUSSIAN_PRESETS,
     GaussianMetaSpec,
@@ -31,8 +32,8 @@ from .data import (
 )
 from .errors import ConfigError
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
-from .model import load_checkpoint, save_checkpoint
-from .training import TrainConfig, train
+from .model import Architecture, load_checkpoint, save_checkpoint
+from .training import train
 
 def _load_config(args) -> ExperimentConfig:
     values = {}
@@ -48,38 +49,21 @@ def _load_config(args) -> ExperimentConfig:
     return resolve_config(values, overrides)
 
 
-def _gaussian_spec(cfg: ExperimentConfig) -> GaussianMetaSpec:
-    if cfg.data_preset not in GAUSSIAN_PRESETS:
+def _preset(name: str) -> GaussianMetaSpec:
+    if name not in GAUSSIAN_PRESETS:
         known = ", ".join(sorted(GAUSSIAN_PRESETS))
-        raise ConfigError(f"unknown data preset {cfg.data_preset!r} (known: {known})")
-    base = GAUSSIAN_PRESETS[cfg.data_preset]
+        raise ConfigError(f"unknown data preset {name!r} (known: {known})")
+    return GAUSSIAN_PRESETS[name]
+
+
+def _gaussian_spec(cfg: ExperimentConfig) -> GaussianMetaSpec:
+    """The configured preset with every synthetic override the config sets."""
     overrides = {
-        name: getattr(cfg, name)
-        for name in (
-            "dim",
-            "train_distributions",
-            "test_distributions",
-            "samples_per_distribution",
-            "mean_scale",
-            "within_scale",
-        )
-        if getattr(cfg, name) is not None
+        f.name: getattr(cfg, f.name)
+        for f in fields(GaussianMetaSpec)
+        if getattr(cfg, f.name) is not None
     }
-    if overrides:
-        base = GaussianMetaSpec(
-            **{
-                **{
-                    "dim": base.dim,
-                    "train_distributions": base.train_distributions,
-                    "test_distributions": base.test_distributions,
-                    "samples_per_distribution": base.samples_per_distribution,
-                    "mean_scale": base.mean_scale,
-                    "within_scale": base.within_scale,
-                },
-                **overrides,
-            }
-        )
-    return base
+    return replace(_preset(cfg.data_preset), **overrides)
 
 
 def build_metasets(cfg: ExperimentConfig):
@@ -103,27 +87,6 @@ def build_metasets(cfg: ExperimentConfig):
     if cfg.permutations > 0:
         train_meta = augment_with_permutations(train_meta, cfg.permutations, cfg.data_seed + 1)
     return train_meta, test_meta
-
-
-def train_config_from(cfg: ExperimentConfig, **replacements) -> TrainConfig:
-    base = dict(
-        iterations=cfg.iterations,
-        tasks_per_iter=cfg.tasks_per_iter,
-        batch_size=cfg.batch_size,
-        pi=cfg.pi,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-        head=cfg.head,
-        hidden=tuple(cfg.hidden),
-        latent_dim=cfg.latent_dim,
-        input_bn=cfg.input_bn,
-        bn_mode=cfg.bn_mode,
-        bn_mask=tuple(bool(m) for m in cfg.bn_mask) if cfg.bn_mask is not None else None,
-        loss=cfg.loss,
-        center_frozen=cfg.center_frozen,
-    )
-    base.update(replacements)
-    return TrainConfig(**base)
 
 
 def _append_record(path, record: dict) -> None:
@@ -158,11 +121,7 @@ def _fmt_auc(mean: float, std: float) -> str:
 # ----- subcommands -------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    if args.preset not in GAUSSIAN_PRESETS:
-        known = ", ".join(sorted(GAUSSIAN_PRESETS))
-        raise ConfigError(f"unknown preset {args.preset!r} (known: {known})")
-    spec = GAUSSIAN_PRESETS[args.preset]
-    train_meta, test_meta = generate_gaussian_metaset(spec, args.seed)
+    train_meta, test_meta = generate_gaussian_metaset(_preset(args.preset), args.seed)
     csv_path, json_path = save_metaset_csv(train_meta, test_meta, args.out, seed=args.seed)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
@@ -264,20 +223,15 @@ def _ablate_cells(suite: str, cfg: ExperimentConfig):
         yield {"loss": "meta_oe", "pi": cfg.pi}, {"loss": "meta_oe"}
         yield {"loss": "one_class", "pi": 1.0}, {"loss": "one_class", "pi": 1.0}
     elif suite == "bn-position":
-        n = int(cfg.input_bn) + len(cfg.hidden) + (1 if cfg.head == "dsvdd" else 0)
+        arch = Architecture(input_dim=1, hidden=cfg.hidden, input_bn=cfg.input_bn)
+        n = arch.n_bn_positions(cfg.head)
         for pos in range(n):
             mask = tuple(i == pos for i in range(n))
             yield {"bn_position": pos, "bn_mask": list(map(int, mask))}, {"bn_mask": mask}
         yield {"bn_position": "all", "bn_mask": [1] * n}, {"bn_mask": (True,) * n}
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
 
 
 def cmd_ablate(args) -> int:
-    if args.suite not in ABLATE_SUITES:
-        raise ConfigError(
-            f"unknown suite {args.suite!r} (known: {', '.join(ABLATE_SUITES)})"
-        )
     cfg = _load_config(args)
     rows = []
     records = []
@@ -319,15 +273,7 @@ def cmd_ablate(args) -> int:
         headers = ["train_classes", "auroc"]
         for k in (1, 2, 4, 8):
             started = time.perf_counter()
-            spec = _gaussian_spec(cfg)
-            spec = GaussianMetaSpec(
-                dim=spec.dim,
-                train_distributions=max(k, 2),
-                test_distributions=spec.test_distributions,
-                samples_per_distribution=spec.samples_per_distribution,
-                mean_scale=spec.mean_scale,
-                within_scale=spec.within_scale,
-            )
+            spec = replace(_gaussian_spec(cfg), train_distributions=max(k, 2))
             train_meta, test_meta = generate_gaussian_metaset(spec, cfg.data_seed)
             replacements = {}
             if k == 1:
@@ -405,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run a predefined study grid")
-    p.add_argument("--suite", required=True, help="|".join(ABLATE_SUITES))
+    p.add_argument("--suite", required=True, choices=ABLATE_SUITES)
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--seed", type=int, help="override the evaluation seed")
     p.add_argument("--runs", type=int, help="independent test runs per cell")

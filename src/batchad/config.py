@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .evaluation import check_ratios
+from .training import TrainConfig
 
 _BARE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
 
@@ -160,28 +162,23 @@ def resolve_config(values: dict, overrides: dict | None = None) -> ExperimentCon
             merged[key] = tuple(merged[key])
     try:
         cfg = ExperimentConfig(**merged)
+        _validate(cfg)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    _validate(cfg)
     return cfg
 
 
+def train_config_from(cfg: ExperimentConfig, **replacements) -> TrainConfig:
+    """The experiment's training settings, with optional replacements."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig) if f.name in _KNOWN_KEYS}
+    return TrainConfig(**{**values, **replacements})
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.head not in ("dsvdd", "bce"):
-        raise ConfigError(f"head must be dsvdd or bce, got {cfg.head!r}")
-    if cfg.bn_mode not in ("batch", "identity", "frozen"):
-        raise ConfigError(f"bn_mode must be batch, identity or frozen, got {cfg.bn_mode!r}")
-    if cfg.loss not in ("meta_oe", "one_class"):
-        raise ConfigError(f"loss must be meta_oe or one_class, got {cfg.loss!r}")
-    if not 0.5 < cfg.pi <= 1.0:
-        raise ConfigError(f"pi must lie in (0.5, 1], got {cfg.pi}")
-    for r in cfg.ratios:
-        if not 0.0 < float(r) < 0.5:
-            raise ConfigError(f"eval ratios must lie in (0, 0.5), got {r}")
-    for name in ("iterations", "tasks_per_iter", "runs", "eval_batches"):
+    train_config_from(cfg)
+    check_ratios(cfg.ratios, cfg.eval_batch_size)
+    for name in ("runs", "eval_batches"):
         if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be at least 1")
-    if cfg.batch_size < 2 or cfg.eval_batch_size < 2:
-        raise ConfigError("batch sizes must be at least 2")
+            raise ConfigError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if cfg.permutations < 0:
-        raise ConfigError("permutations must be nonnegative")
+        raise ConfigError(f"permutations must be nonnegative, got {cfg.permutations}")

@@ -13,21 +13,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchTooSmallError, ConfigError, UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError
 from .model import DetectorModel
 from .nn import DTYPE, as_batch
-from .scores import ScoreVector
-from .tasks import MetaDataset, MixtureConfig, build_contaminated_task
+from .tasks import MetaDataset, MixtureConfig, build_contaminated_task, normal_count
 
 DEFAULT_RATIOS = (0.01, 0.05, 0.1, 0.2)
 
 
-def score_batch(model: DetectorModel, batch: np.ndarray) -> ScoreVector:
-    """Score one batch with the model's configured normalization behavior."""
-    batch = as_batch(batch)
-    if batch.shape[0] < 2:
-        raise BatchTooSmallError("batch-level scoring needs at least 2 rows")
-    return model.score_batch(batch)
+def check_ratios(ratios, batch_size: int) -> list[float]:
+    """The anomaly ratios as floats, each in (0, 0.5) and leaving at least one
+    anomaly and a normal majority in a batch of ``batch_size`` rows."""
+    if batch_size < 2:
+        raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
+    ratios = [float(r) for r in ratios]
+    for r in ratios:
+        if not 0.0 < r < 0.5:
+            raise ConfigError(f"anomaly ratio must lie in (0, 0.5), got {r}")
+        if normal_count(1.0 - r, batch_size) >= batch_size:
+            raise ConfigError(
+                f"ratio {r} with batch_size {batch_size} rounds to zero anomalies per batch"
+            )
+    return ratios
 
 
 def threshold_predict(scores: np.ndarray, tau: float) -> np.ndarray:
@@ -177,8 +184,7 @@ def _eval_cell(model, meta_test, rotation, mix, cell_seed, batches):
     labels = []
     for _ in range(batches):
         task = build_contaminated_task(meta_test, rotation, mix, rng)
-        sv = score_batch(model, task.x)
-        scores.append(sv.s)
+        scores.append(model.score_batch(task.x).s)
         labels.append(task.y)
     return np.concatenate(scores), np.concatenate(labels)
 
@@ -200,14 +206,7 @@ def evaluate(
     AUROC per cell from the pooled scores. Cell RNG streams depend only on
     (seed, rotation, run), so results are independent of execution order.
     """
-    ratios = [float(r) for r in ratios]
-    for r in ratios:
-        if not 0.0 < r < 0.5:
-            raise ValueError(f"anomaly ratio must lie in (0, 0.5), got {r}")
-        if round((1.0 - r) * batch_size) >= batch_size:
-            raise ConfigError(
-                f"ratio {r} with batch_size {batch_size} rounds to zero anomalies per batch"
-            )
+    ratios = check_ratios(ratios, batch_size)
 
     jobs = []
     for ri, ratio in enumerate(ratios):

@@ -4,13 +4,13 @@ Two heads are supported. The distance head scores each row by its squared
 distance to a learnable center in latent space; the classifier head emits a
 single logit per row. Normalization layers sit after every linear map (and
 after the latent layer for the distance head); each can be switched between
-batch statistics, recorded frozen statistics, and plain affine identity.
+batch statistics, frozen train-time statistics, and plain affine identity.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,14 +19,22 @@ from .nn import (
     BN_IDENTITY,
     BN_MODES,
     DTYPE,
-    Adam,  # noqa: F401  (re-exported for callers configuring optimizers)
     BatchNorm,
     Linear,
     as_batch,
     relu_backward,
     relu_forward,
 )
-from .scores import DEFAULT_INVERSE_EPS, ScoreVector, bce_scores, dsvdd_scores
+from .scores import (
+    DEFAULT_INVERSE_EPS,
+    LOSS_META_OE,
+    LOSS_ONE_CLASS,
+    LOSSES,
+    ScoreVector,
+    bce_scores,
+    dsvdd_scores,
+    meta_oe_loss,
+)
 
 HEAD_DSVDD = "dsvdd"
 HEAD_BCE = "bce"
@@ -135,7 +143,7 @@ class DetectorModel:
     def _bn_behavior(self, bn_index: int, mode: str) -> str:
         return mode if self.bn_mask[bn_index] else BN_IDENTITY
 
-    def forward(self, x: np.ndarray, mode: str | None = None, record: bool = False):
+    def forward(self, x: np.ndarray, mode: str | None = None):
         """Run the full stack on a (batch, features) batch or a (tasks, batch,
         features) stack. Returns (head output, latent, tape).
 
@@ -155,7 +163,7 @@ class DetectorModel:
             if kind == "linear":
                 x, cache = layer.forward(x)
             elif kind == "bn":
-                x, cache = layer.forward(x, self._bn_behavior(bn_i, mode), record=record)
+                x, cache = layer.forward(x, self._bn_behavior(bn_i, mode))
                 latent = x
                 bn_i += 1
             else:
@@ -165,11 +173,17 @@ class DetectorModel:
             latent = x
         return x, latent, tape
 
-    def score_batch(self, x: np.ndarray, mode: str | None = None) -> ScoreVector:
-        out, _latent, _tape = self.forward(as_batch(x), mode=mode)
+    def _scores(self, out: np.ndarray) -> ScoreVector:
+        """The head's score pair for a (rows, outputs) network output."""
         if self.head == HEAD_DSVDD:
             return dsvdd_scores(out, self.center, self.inverse_eps)
         return bce_scores(out[:, 0])
+
+    def score_batch(self, x: np.ndarray, mode: str | None = None) -> ScoreVector:
+        """Score one (batch, features) batch; batch statistics need at least
+        two rows."""
+        out, _latent, _tape = self.forward(as_batch(x), mode=mode)
+        return self._scores(out)
 
     def latent_batch(self, x: np.ndarray, mode: str | None = None) -> np.ndarray:
         _out, latent, _tape = self.forward(x, mode=mode)
@@ -179,51 +193,38 @@ class DetectorModel:
         self,
         x: np.ndarray,
         y: np.ndarray,
-        loss_kind: str = "meta_oe",
+        loss_kind: str = LOSS_META_OE,
         mode: str | None = None,
-        record: bool = False,
     ):
         """Loss value plus gradients w.r.t. every parameter, for one batch or
         a stack of equally sized batches.
 
-        The loss is the mean over all rows, which for a stack is the mean of
-        the per-batch losses; gradients follow it.
+        The loss is :func:`meta_oe_loss` of the head's scores; ``one_class``
+        is that objective with every row labeled normal. It is the mean over
+        all rows, which for a stack is the mean of the per-batch losses;
+        gradients follow it.
         """
-        out, _latent, tape = self.forward(x, mode=mode, record=record)
-        y = np.asarray(y, dtype=DTYPE).reshape(-1)
+        if loss_kind not in LOSSES:
+            raise ValueError(f"unknown loss {loss_kind!r}")
+        out, _latent, tape = self.forward(x, mode=mode)
         stacked_shape = out.shape
         out = out.reshape(-1, stacked_shape[-1])
         b = out.shape[0]
-        if y.shape[0] != b:
-            raise ValueError("labels and batch disagree on length")
+        y = np.zeros(b) if loss_kind == LOSS_ONE_CLASS else np.asarray(y, dtype=DTYPE).reshape(-1)
+        scores = self._scores(out)
+        loss = meta_oe_loss(scores, y)
 
         grads = self.zero_grads_like()
         if self.head == HEAD_DSVDD:
             diff = out - self.center
-            s = np.einsum("ij,ij->i", diff, diff)
-            a = 1.0 / (s + self.inverse_eps)
-            if loss_kind == "meta_oe":
-                loss = float(np.mean((1.0 - y) * s + y * a))
-                dl_ds = ((1.0 - y) - y / (s + self.inverse_eps) ** 2) / b
-            elif loss_kind == "one_class":
-                loss = float(np.mean(s))
-                dl_ds = np.full(b, 1.0 / b)
-            else:
-                raise ValueError(f"unknown loss {loss_kind!r}")
+            dl_ds = ((1.0 - y) - y / (scores.s + self.inverse_eps) ** 2) / b
             g_out = 2.0 * dl_ds[:, None] * diff
             if not self.center_frozen:
                 grads["center"] = -2.0 * (dl_ds[:, None] * diff).sum(axis=0)
         else:
             t = out[:, 0]
             sig_pos = 1.0 / (1.0 + np.exp(-np.clip(t, -700, 700)))
-            if loss_kind == "meta_oe":
-                loss = float(np.mean((1.0 - y) * np.logaddexp(0.0, t) + y * np.logaddexp(0.0, -t)))
-                dl_dt = ((1.0 - y) * sig_pos - y * (1.0 - sig_pos)) / b
-            elif loss_kind == "one_class":
-                loss = float(np.mean(np.logaddexp(0.0, t)))
-                dl_dt = sig_pos / b
-            else:
-                raise ValueError(f"unknown loss {loss_kind!r}")
+            dl_dt = ((1.0 - y) * sig_pos - y * (1.0 - sig_pos)) / b
             g_out = dl_dt[:, None]
 
         grad = g_out.reshape(stacked_shape)
@@ -238,28 +239,38 @@ class DetectorModel:
 
     # ----- frozen statistics -----------------------------------------------
 
-    def freeze_batch_stats(self) -> None:
-        """Adopt the most recently recorded batch statistics in every
-        normalization layer (captured during training with ``record=True``)."""
-        for _name, kind, layer in self.blocks:
-            if kind == "bn":
-                layer.freeze()
+    def active_norms(self) -> list[tuple[str, BatchNorm]]:
+        """(name, layer) of every normalization position ``bn_mask`` leaves on."""
+        norms = [(name, layer) for name, kind, layer in self.blocks if kind == "bn"]
+        return [norm for norm, on in zip(norms, self.bn_mask) if on]
+
+    def freeze_batch_stats(self, x: np.ndarray) -> None:
+        """Fix the frozen-mode statistics of every active normalization layer
+        to the mean and variance it computes for the batch ``x`` in one
+        batch-mode pass with the current parameters."""
+        _out, _latent, tape = self.forward(as_batch(x), mode=BN_BATCH)
+        caches = {name: cache for (name, _kind, _layer), cache in zip(self.blocks, tape)}
+        for name, layer in self.active_norms():
+            _mode, _xhat, _inv, mean, var = caches[name]
+            layer.frozen_mean = mean[0]
+            layer.frozen_var = var
 
     def has_frozen_stats(self) -> bool:
-        return all(
-            layer.frozen_mean is not None
-            for _n, kind, layer in self.blocks
-            if kind == "bn"
-        )
+        return all(layer.frozen_mean is not None for _name, layer in self.active_norms())
 
 
 # ----- checkpoint io ---------------------------------------------------------
 
-def _stat_items(model: DetectorModel):
-    for name, kind, layer in model.blocks:
-        if kind == "bn" and layer.frozen_mean is not None:
-            for field in STAT_FIELDS:
-                yield f"{name}.{field}", getattr(layer, field)
+def _manifest(model: DetectorModel) -> tuple[list, list]:
+    """The ``[name, shape]`` lists a checkpoint of ``model`` carries: every
+    parameter, and both statistics of each active normalization layer."""
+    params = [[name, list(arr.shape)] for name, arr in model.params().items()]
+    stats = [
+        [f"{name}.{field}", [layer.dim]]
+        for name, layer in model.active_norms()
+        for field in STAT_FIELDS
+    ]
+    return params, stats
 
 
 def save_checkpoint(model: DetectorModel, path) -> None:
@@ -268,81 +279,82 @@ def save_checkpoint(model: DetectorModel, path) -> None:
     Layout: magic line, one JSON header line (sorted keys) listing the
     architecture and an ordered array manifest, then the raw array bytes in
     manifest order, little-endian float64, C order. Round-trips bit-exactly.
+    Frozen statistics are written only when every active layer has them.
     """
-    params = model.params()
-    stats = list(_stat_items(model))
+    params, stats = _manifest(model)
+    arrays = list(model.params().values())
+    if model.has_frozen_stats():
+        arrays += [getattr(layer, f) for _n, layer in model.active_norms() for f in STAT_FIELDS]
+    else:
+        stats = []
     header = {
-        "arch": {
-            "input_dim": model.arch.input_dim,
-            "hidden": list(model.arch.hidden),
-            "latent_dim": model.arch.latent_dim,
-            "input_bn": model.arch.input_bn,
-        },
+        "arch": asdict(model.arch),
         "head": model.head,
         "bn_mode": model.bn_mode,
         "bn_mask": [int(m) for m in model.bn_mask],
         "inverse_eps": model.inverse_eps,
         "center_frozen": model.center_frozen,
-        "params": [[k, list(v.shape)] for k, v in params.items()],
-        "stats": [[k, list(v.shape)] for k, v in stats],
+        "params": params,
+        "stats": stats,
     }
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         fh.write(b"\n")
-        for _k, arr in list(params.items()) + stats:
+        for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> DetectorModel:
+    """Read a checkpoint whose header lists exactly the parameters of the
+    model it describes, and either no statistics or all the frozen mode
+    reads; anything else is a ``ValueError``."""
     with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != CHECKPOINT_MAGIC:
+        if fh.readline() != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
         header = json.loads(fh.readline().decode())
         blob = fh.read()
 
-    arch = Architecture(
-        input_dim=header["arch"]["input_dim"],
-        hidden=tuple(header["arch"]["hidden"]),
-        latent_dim=header["arch"]["latent_dim"],
-        input_bn=header["arch"]["input_bn"],
-    )
-    model = DetectorModel(
-        arch,
-        head=header["head"],
-        bn_mode=header["bn_mode"],
-        bn_mask=tuple(bool(m) for m in header["bn_mask"]),
-        inverse_eps=header["inverse_eps"],
-        center_frozen=header["center_frozen"],
-    )
+    try:
+        arch = Architecture(**{**header["arch"], "hidden": tuple(header["arch"]["hidden"])})
+        model = DetectorModel(
+            arch,
+            head=header["head"],
+            bn_mode=header["bn_mode"],
+            bn_mask=header["bn_mask"],
+            inverse_eps=header["inverse_eps"],
+            center_frozen=header["center_frozen"],
+        )
+        listed_params, listed_stats = header["params"], header["stats"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"checkpoint {path} has a malformed header ({type(exc).__name__}: {exc})"
+        ) from None
+    params, stats = _manifest(model)
+    if listed_params != params:
+        raise ValueError(
+            f"checkpoint {path} lists parameters {listed_params}, this model has {params}"
+        )
+    if listed_stats not in ([], stats):
+        raise ValueError(
+            f"checkpoint {path} lists statistics {listed_stats}, this model has none or {stats}"
+        )
 
     offset = 0
 
     def take(shape):
         nonlocal offset
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
         offset += n * 8
         return arr.astype(DTYPE)
 
-    params = model.params()
-    for name, shape in header["params"]:
-        if name not in params or list(params[name].shape) != shape:
-            raise ValueError(f"checkpoint parameter {name} does not fit this model")
-        params[name][...] = take(shape)
-    bn_layers = {name: layer for name, kind, layer in model.blocks if kind == "bn"}
-    for name, shape in header["stats"]:
-        layer_name, _, field = str(name).rpartition(".")
-        layer = bn_layers.get(layer_name)
-        if layer is None or field not in STAT_FIELDS or shape != [layer.dim]:
-            raise ValueError(f"checkpoint statistic {name} does not fit this model")
-        setattr(layer, field, take(shape))
-    for name, layer in bn_layers.items():
-        if (layer.frozen_mean is None) != (layer.frozen_var is None):
-            raise ValueError(
-                f"checkpoint lists only one of {name}.frozen_mean and {name}.frozen_var"
-            )
+    for arr in model.params().values():
+        arr[...] = take(arr.shape)
+    if listed_stats:
+        for _name, layer in model.active_norms():
+            for field in STAT_FIELDS:
+                setattr(layer, field, take((layer.dim,)))
     if offset != len(blob):
-        raise ValueError("checkpoint has trailing bytes")
+        raise ValueError(f"checkpoint {path} has trailing bytes")
     return model

@@ -6,11 +6,9 @@ either one ``(batch, features)`` batch or a ``(tasks, batch, features)`` stack
 of equally sized batches. Batch normalization takes its statistics per batch
 along the row axis (``axis=-2``), so a stack computes exactly what a loop over
 its batches would; parameter gradients are summed over every row of the stack.
-Forward passes return an ``(output, cache)`` pair; the cache is call-local so
-that a trained model can score concurrent batches without interior mutation.
-The only stateful exception is the optional ``record`` flag on
-:class:`BatchNorm`, used by the trainer to remember the statistics of the most
-recent training batch (the "frozen statistics" scoring mode).
+Forward passes return an ``(output, cache)`` pair; the cache is call-local
+and no forward or backward pass mutates a layer, so a trained model can score
+concurrent batches.
 """
 
 from __future__ import annotations
@@ -87,12 +85,14 @@ class BatchNorm:
       two rows per batch.
     - ``identity``: skip normalization; the layer reduces to ``gamma*x + beta``
       (the normalization-off ablation).
-    - ``frozen``: normalize with statistics previously captured via
-      ``record=True`` and :meth:`freeze` (train-time statistics reused at
-      scoring time). ``record`` keeps the statistics of the last batch of the
-      stack; the trainer stacks its tasks in content-key order, so a frozen
-      model holds the statistics of the last task, in that order, of the
-      final training iteration.
+    - ``frozen``: normalize with the fixed ``frozen_mean``/``frozen_var``
+      (train-time statistics reused at scoring time). The trainer sets them
+      once, after its last optimizer step, from a batch-mode pass of the
+      final parameters over the last task, in content-key order, of the final
+      iteration; only the positions ``bn_mask`` leaves on get statistics.
+
+    A batch-mode cache carries the batch's mean and variance, which is where
+    the trainer reads the frozen statistics from.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -102,14 +102,11 @@ class BatchNorm:
         self.beta = np.zeros(dim, dtype=DTYPE)
         self.eps = float(eps)
         self.dim = dim
-        # last batch statistics seen with record=True; copied by freeze()
-        self.last_mean = None
-        self.last_var = None
         # statistics used by the "frozen" mode
         self.frozen_mean = None
         self.frozen_var = None
 
-    def forward(self, x: np.ndarray, mode: str = BN_BATCH, record: bool = False):
+    def forward(self, x: np.ndarray, mode: str = BN_BATCH):
         if mode == BN_BATCH:
             b = x.shape[-2]
             if b < 2:
@@ -120,13 +117,9 @@ class BatchNorm:
             mean = _row_sums(x)[..., None, :] / b
             xhat = x - mean
             var = np.einsum("...ij,...ij->...j", xhat, xhat) / b
-            if record:
-                # fresh arrays every call, so views of the last batch are safe
-                self.last_mean = mean.reshape(-1, self.dim)[-1]
-                self.last_var = var.reshape(-1, self.dim)[-1]
             inv = (1.0 / np.sqrt(var + self.eps))[..., None, :]
             xhat *= inv
-            return self.gamma * xhat + self.beta, (BN_BATCH, xhat, inv)
+            return self.gamma * xhat + self.beta, (BN_BATCH, xhat, inv, mean, var)
         if mode == BN_FROZEN:
             if self.frozen_mean is None:
                 raise RuntimeError("frozen statistics requested but none were captured")
@@ -138,7 +131,7 @@ class BatchNorm:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
     def backward(self, grad: np.ndarray, cache):
-        mode, xhat, inv = cache
+        mode, xhat, inv = cache[:3]
         # per-batch sums; the parameter gradients add them over the stack
         g_sum = _row_sums(grad)[..., None, :]
         gx_sum = np.einsum("...ij,...ij->...j", grad, xhat)[..., None, :]
@@ -155,13 +148,6 @@ class BatchNorm:
         if mode == BN_FROZEN:
             return grad * self.gamma * inv, grads
         return grad * self.gamma, grads
-
-    def freeze(self):
-        """Adopt the last recorded batch statistics for the frozen mode."""
-        if self.last_mean is None:
-            raise RuntimeError("no batch statistics recorded yet")
-        self.frozen_mean = self.last_mean.copy()
-        self.frozen_var = self.last_var.copy()
 
     def param_items(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

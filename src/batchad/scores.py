@@ -1,4 +1,4 @@
-"""Scoring heads.
+"""Scoring heads and the training objective over their scores.
 
 Every head produces a pair of per-sample score vectors: ``s`` is large on
 anomalies, and ``a`` is its inverse companion, large on normal samples. Both
@@ -16,6 +16,10 @@ from .errors import BatchTooSmallError
 from .nn import DTYPE, as_batch
 
 DEFAULT_INVERSE_EPS = 1e-6
+
+LOSS_META_OE = "meta_oe"
+LOSS_ONE_CLASS = "one_class"
+LOSSES = (LOSS_META_OE, LOSS_ONE_CLASS)
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,23 @@ def bce_scores(logits: np.ndarray) -> ScoreVector:
     """
     t = np.asarray(logits, dtype=DTYPE).reshape(-1)
     return ScoreVector(s=np.logaddexp(0.0, t), a=np.logaddexp(0.0, -t))
+
+
+def meta_oe_loss(scores: ScoreVector, y) -> float:
+    """Mixed objective: mean of s over normal rows and of the inverse score a
+    over contaminant rows, (1/B) * sum((1-y)*s + y*a)."""
+    y = np.asarray(y, dtype=DTYPE).reshape(-1)
+    if y.shape[0] != len(scores):
+        raise ValueError("labels and scores disagree on length")
+    return float(np.mean((1.0 - y) * scores.s + y * scores.a))
+
+
+def one_class_loss(scores: ScoreVector) -> float:
+    """Plain one-class objective, the mean of s: the mixed objective with
+    every row labeled normal."""
+    if len(scores) == 0:
+        raise ValueError("empty score vector")
+    return meta_oe_loss(scores, np.zeros(len(scores)))
 
 
 def naive_bn_score(batch: np.ndarray, eps: float = 1e-12) -> np.ndarray:

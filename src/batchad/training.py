@@ -18,28 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import Architecture, DetectorModel, HEAD_DSVDD, HEADS
-from .nn import BN_BATCH, BN_IDENTITY, BN_MODES, Adam
-from .scores import ScoreVector
+from .model import Architecture, DetectorModel, HEAD_DSVDD
+from .nn import BN_BATCH, BN_FROZEN, BN_IDENTITY, Adam
+from .scores import LOSS_META_OE, LOSSES
 from .tasks import MetaDataset, MixtureConfig, TaskBatch, sample_iteration_tasks
 
 DIVERGENCE_PATIENCE = 5
-
-
-def meta_oe_loss(scores: ScoreVector, y) -> float:
-    """Mixed objective: mean of s over normal rows and of the inverse score a
-    over contaminant rows, (1/B) * sum((1-y)*s + y*a)."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != len(scores):
-        raise ValueError("labels and scores disagree on length")
-    return float(np.mean((1.0 - y) * scores.s + y * scores.a))
-
-
-def one_class_loss(scores: ScoreVector) -> float:
-    """Plain one-class objective: mean of s."""
-    if len(scores) == 0:
-        raise ValueError("empty score vector")
-    return float(np.mean(scores.s))
 
 
 def no_bn_trivial_loss_value(pi: float) -> float:
@@ -69,23 +53,24 @@ class TrainConfig:
     input_bn: bool = False
     bn_mode: str = BN_BATCH
     bn_mask: tuple[bool, ...] | None = None
-    loss: str = "meta_oe"  # meta_oe | one_class
+    loss: str = LOSS_META_OE  # meta_oe | one_class
     center_frozen: bool = False
     with_replacement: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
-        if self.head not in HEADS:
-            raise ConfigError(f"unknown head {self.head!r}")
-        if self.bn_mode not in BN_MODES:
-            raise ConfigError(f"unknown bn_mode {self.bn_mode!r}")
-        if self.loss not in ("meta_oe", "one_class"):
+            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        # batch_size / pi / tasks_per_iter are validated by MixtureConfig
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        # batch_size / pi / tasks_per_iter are validated by MixtureConfig, the
+        # head, bn_mode, bn_mask and widths by the model they describe
         self.mixture()
+        try:
+            self.model(input_dim=1)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def mixture(self) -> MixtureConfig:
         return MixtureConfig(
@@ -101,6 +86,17 @@ class TrainConfig:
             hidden=tuple(self.hidden),
             latent_dim=self.latent_dim,
             input_bn=self.input_bn,
+        )
+
+    def model(self, input_dim: int, rng: np.random.Generator | None = None) -> DetectorModel:
+        """An untrained detector for ``input_dim`` features."""
+        return DetectorModel(
+            self.architecture(input_dim),
+            head=self.head,
+            rng=rng,
+            bn_mode=self.bn_mode,
+            bn_mask=self.bn_mask,
+            center_frozen=self.center_frozen,
         )
 
 
@@ -129,7 +125,6 @@ def average_task_gradients(
     tasks: list[TaskBatch],
     loss_kind: str,
     mode: str,
-    record: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss and mean gradients over equally sized tasks, in one pass.
 
@@ -140,7 +135,7 @@ def average_task_gradients(
     tasks = sorted(tasks, key=_task_key)
     x = np.stack([task.x for task in tasks])
     y = np.stack([task.y for task in tasks])
-    return model.loss_and_grads(x, y, loss_kind=loss_kind, mode=mode, record=record)
+    return model.loss_and_grads(x, y, loss_kind=loss_kind, mode=mode)
 
 
 def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainReport]:
@@ -149,21 +144,16 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     Per iteration: sample ``tasks_per_iter`` contaminated tasks, forward and
     backprop them as one stack (each task with its own normalization
     statistics), average the losses and gradients over the tasks, and apply
-    one Adam step.
+    one Adam step. A ``frozen`` model then freezes the statistics of the
+    last task, in content-key order, of the final iteration under the final
+    parameters.
     """
     if cfg.pi < 1.0 and meta.k < 2 and meta.anomaly_pool is None:
         raise ConfigError("pi < 1 needs at least two pools in the meta-set")
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, task_ss = root.spawn(2)
-    model = DetectorModel(
-        cfg.architecture(meta.dim),
-        head=cfg.head,
-        rng=np.random.default_rng(init_ss),
-        bn_mode=cfg.bn_mode,
-        bn_mask=cfg.bn_mask,
-        center_frozen=cfg.center_frozen,
-    )
+    model = cfg.model(meta.dim, rng=np.random.default_rng(init_ss))
     adam = Adam(model.params(), cfg.learning_rate)
     task_rng = np.random.default_rng(task_ss)
     mixture = cfg.mixture()
@@ -176,9 +166,7 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     started = time.perf_counter()
     for _ in range(cfg.iterations):
         tasks = sample_iteration_tasks(meta, mixture, task_rng)
-        mean_loss, avg = average_task_gradients(
-            model, tasks, loss_kind=cfg.loss, mode=train_mode, record=True
-        )
+        mean_loss, avg = average_task_gradients(model, tasks, loss_kind=cfg.loss, mode=train_mode)
         losses.append(mean_loss)
 
         if not math.isfinite(mean_loss):
@@ -193,8 +181,8 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
         bad_streak = 0
         adam.step(model.params(), avg)
 
-    if cfg.bn_mode == "frozen":
-        model.freeze_batch_stats()
+    if cfg.bn_mode == BN_FROZEN:
+        model.freeze_batch_stats(max(tasks, key=_task_key).x)
 
     report = TrainReport(
         loss_curve=losses,

@@ -23,14 +23,9 @@ from batchad.evaluation import (
     evaluate,
     tv_distance_diagnostic,
 )
-from batchad.scores import ScoreVector, naive_bn_score
+from batchad.scores import ScoreVector, meta_oe_loss, naive_bn_score
 from batchad.tasks import MetaDataset, hoeffding_violation_bound
-from batchad.training import (
-    TrainConfig,
-    meta_oe_loss,
-    no_bn_trivial_loss_value,
-    train,
-)
+from batchad.training import TrainConfig, no_bn_trivial_loss_value, train
 
 from helpers import (
     REL_TOL,

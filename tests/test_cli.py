@@ -143,15 +143,13 @@ class TestEval:
         assert "zero anomalies" in capsys.readouterr().err
 
     @staticmethod
-    def add_stat(ckpt, name, dim):
-        """Append a ``stats`` entry (and its bytes) to a checkpoint file."""
+    def edit_header(ckpt, edit, extra=b""):
+        """Rewrite a checkpoint's JSON header with ``edit`` and append
+        ``extra`` bytes to its arrays."""
         magic, header, blob = ckpt.read_bytes().split(b"\n", 2)
         head = json.loads(header)
-        head["stats"].append([name, [dim]])
-        ckpt.write_bytes(
-            magic + b"\n" + json.dumps(head).encode() + b"\n" + blob
-            + np.ones(dim, dtype="<f8").tobytes()
-        )
+        edit(head)
+        ckpt.write_bytes(magic + b"\n" + json.dumps(head).encode() + b"\n" + blob + extra)
 
     @pytest.mark.parametrize("stat", ["bn9.frozen_mean", "bn0.gamma", "bn0.frozen_mean"])
     def test_foreign_statistic_is_runtime_error(self, stat, tiny_config, tmp_path, capsys):
@@ -159,10 +157,28 @@ class TestEval:
         # statistic; a frozen mean without its variance is incomplete
         ckpt = tmp_path / "m.ckpt"
         main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
-        self.add_stat(ckpt, stat, 8)
+        self.edit_header(
+            ckpt, lambda head: head["stats"].append([stat, [8]]), np.ones(8, dtype="<f8").tobytes()
+        )
         code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
         assert code == 3
         assert stat in capsys.readouterr().err
+
+    def test_header_without_arch_is_runtime_error(self, tiny_config, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        self.edit_header(ckpt, lambda head: head.pop("arch"))
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_scalar_hidden_widths_are_runtime_error(self, tiny_config, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        self.edit_header(ckpt, lambda head: head["arch"].update(hidden=8))
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        assert str(ckpt) in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tiny_config, tmp_path, capsys):
         code = main(["eval", "--config", str(tiny_config), "--model", str(tmp_path / "no.ckpt")])

@@ -11,7 +11,6 @@ from batchad.evaluation import (
     auroc,
     collect_latents,
     evaluate,
-    score_batch,
     threshold_predict,
     tie_average_ranks,
     tv_distance_diagnostic,
@@ -133,23 +132,23 @@ class TestScoreBatch:
     def test_row_duplication_leaves_scores_unchanged(self):
         model = untrained_model(dim=4)
         x = np.random.default_rng(1).normal(size=(10, 4))
-        base = score_batch(model, x).s
-        doubled = score_batch(model, np.concatenate([x, x])).s
+        base = model.score_batch(x).s
+        doubled = model.score_batch(np.concatenate([x, x])).s
         np.testing.assert_allclose(doubled[:10], base, atol=1e-8)
         np.testing.assert_allclose(doubled[10:], base, atol=1e-8)
 
     def test_batch_too_small(self):
         model = untrained_model(dim=4)
         with pytest.raises(BatchTooSmallError):
-            score_batch(model, np.ones((1, 4)))
+            model.score_batch(np.ones((1, 4)))
 
     def test_shift_removed_when_first_layer_normalizes(self):
         model = untrained_model(dim=4, seed=3, input_bn=True)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 4))
         shifted = x + rng.normal(size=4)
-        s1 = score_batch(model, x).s
-        s2 = score_batch(model, shifted).s
+        s1 = model.score_batch(x).s
+        s2 = model.score_batch(shifted).s
         np.testing.assert_allclose(s2, s1, rtol=1e-9, atol=1e-9)
         np.testing.assert_array_equal(np.argsort(s1), np.argsort(s2))
 
@@ -163,7 +162,7 @@ class TestScoreBatch:
         rng = np.random.default_rng(9)
         batch = rng.normal(50.0, 1.0, size=(30, 1))  # an unseen location
         batch[7, 0] = 50.0 + 5.0
-        scores = score_batch(model, batch).s
+        scores = model.score_batch(batch).s
         assert np.argmax(scores) == 7
 
 

@@ -105,8 +105,9 @@ class TestBatchNormForward:
         rng = np.random.default_rng(5)
         bn = BatchNorm(3)
         x = rng.normal(0.0, 1.0, (16, 3))
-        bn.forward(x, record=True)
-        bn.freeze()
+        # a batch-mode cache ends with the batch's mean and variance
+        *_, mean, var = bn.forward(x)[1]
+        bn.frozen_mean, bn.frozen_var = mean[0], var
         shifted = rng.normal(10.0, 1.0, (16, 3))
         out, _ = bn.forward(shifted, mode="frozen")
         # statistics come from x, so the shifted batch is NOT recentered

@@ -1,19 +1,19 @@
 """Loss definitions, the training loop contract, and checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
 from batchad.errors import ConfigError, DivergenceError
 from batchad.model import load_checkpoint, save_checkpoint
-from batchad.scores import ScoreVector
+from batchad.scores import ScoreVector, meta_oe_loss, one_class_loss
 from batchad.tasks import MetaDataset, MixtureConfig, sample_iteration_tasks
 from batchad.training import (
     TrainConfig,
     _task_key,
     average_task_gradients,
-    meta_oe_loss,
     no_bn_trivial_loss_value,
-    one_class_loss,
     train,
 )
 
@@ -136,6 +136,19 @@ class TestTrainLoop:
         model, _ = train(meta, small_cfg(bn_mode="frozen"))
         assert model.has_frozen_stats()
 
+    def test_frozen_mode_with_a_masked_position(self, tmp_path):
+        # a masked-off position is identity and gets no statistics
+        meta = toy_two_pool_meta(n=300)
+        model, _ = train(meta, small_cfg(bn_mode="frozen", bn_mask=(True, False, True)))
+        assert model.has_frozen_stats()
+        norms = [layer for _n, kind, layer in model.blocks if kind == "bn"]
+        assert norms[1].frozen_mean is None
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        clone = load_checkpoint(path)
+        x = np.random.default_rng(5).normal(size=(12, 1))
+        assert np.array_equal(model.score_batch(x).s, clone.score_batch(x).s)
+
     def test_masked_positions_act_as_identity(self):
         # all positions masked off must reproduce the identity-mode trajectory
         meta = toy_two_pool_meta(n=300)
@@ -183,15 +196,19 @@ class TestStackedReduction:
             assert np.abs(g - ref).max() <= 1e-12 * scale, name
 
     def test_records_last_task_in_key_order(self):
-        model, tasks = self.setup_iteration()
-        average_task_gradients(model, tasks, "meta_oe", "batch", record=True)
-        bns = [layer for _n, kind, layer in model.blocks if kind == "bn"]
-        stacked = [(bn.last_mean.copy(), bn.last_var.copy()) for bn in bns]
-        last = max(tasks, key=_task_key)
-        model.loss_and_grads(last.x, last.y, record=True)
-        for bn, (mean, var) in zip(bns, stacked):
-            np.testing.assert_allclose(mean, bn.last_mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(var, bn.last_var, rtol=1e-12, atol=1e-12)
+        # a frozen model holds the statistics of the final iteration's last
+        # task, in content-key order, under the final parameters
+        meta = toy_two_pool_meta(n=400)
+        cfg = small_cfg(iterations=3, tasks_per_iter=5, bn_mode="frozen")
+        model, _ = train(meta, cfg)
+        task_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        for _ in range(cfg.iterations):
+            tasks = sample_iteration_tasks(meta, cfg.mixture(), task_rng)
+        frozen = [(bn.frozen_mean, bn.frozen_var) for _n, bn in model.active_norms()]
+        model.freeze_batch_stats(max(tasks, key=_task_key).x)
+        for (_n, bn), (mean, var) in zip(model.active_norms(), frozen):
+            assert np.array_equal(mean, bn.frozen_mean)
+            assert np.array_equal(var, bn.frozen_var)
 
 
 class TestCheckpoint:
@@ -223,6 +240,34 @@ class TestCheckpoint:
         save_checkpoint(train(meta, small_cfg(iterations=8))[0], p1)
         save_checkpoint(train(meta, small_cfg(iterations=8))[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def rewrite(path, edit_params, tail: int):
+        """Apply ``edit_params`` to the header's parameter list, then keep
+        ``tail`` bytes more (positive) or fewer (negative) of the array blob."""
+        magic, header, blob = path.read_bytes().split(b"\n", 2)
+        head = json.loads(header)
+        edit_params(head["params"])
+        blob = blob + blob[-tail:] if tail > 0 else blob[:tail]
+        path.write_bytes(magic + b"\n" + json.dumps(head).encode() + b"\n" + blob)
+
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(train(toy_two_pool_meta(n=300), small_cfg(iterations=2))[0], path)
+        return path
+
+    def test_header_without_center_is_rejected(self, tmp_path):
+        # the center is the last array; drop its entry and its 4 values
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda params: params.remove(["center", [4]]), -4 * 8)
+        with pytest.raises(ValueError, match="center"):
+            load_checkpoint(path)
+
+    def test_parameter_listed_twice_is_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, lambda params: params.append(["center", [4]]), 4 * 8)
+        with pytest.raises(ValueError, match="center"):
+            load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
