@@ -23,7 +23,6 @@ from .evaluation import (
     auroc,
     collect_latents,
     evaluate,
-    threshold_predict,
     tv_distance_diagnostic,
 )
 from .model import Architecture, DetectorModel, load_checkpoint, save_checkpoint
@@ -79,7 +78,6 @@ __all__ = [
     "sample_iteration_tasks",
     "save_checkpoint",
     "save_metaset_csv",
-    "threshold_predict",
     "train",
     "tv_distance_diagnostic",
 ]

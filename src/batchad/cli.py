@@ -35,6 +35,17 @@ from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
 from .model import Architecture, load_checkpoint, save_checkpoint
 from .training import train
 
+
+def _ratio_list(text: str) -> list[float]:
+    """The ``--ratios`` value: comma-separated anomaly ratios."""
+    try:
+        return [float(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}"
+        ) from None
+
+
 def _load_config(args) -> ExperimentConfig:
     values = {}
     if getattr(args, "config", None):
@@ -43,7 +54,7 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         overrides["seed" if args.cmd == "train" else "eval_seed"] = args.seed
     if getattr(args, "ratios", None) is not None:
-        overrides["ratios"] = [float(r) for r in args.ratios.split(",")]
+        overrides["ratios"] = args.ratios
     if getattr(args, "runs", None) is not None:
         overrides["runs"] = args.runs
     return resolve_config(values, overrides)
@@ -179,7 +190,7 @@ def cmd_eval(args) -> int:
     lat_test = collect_latents(model, test_meta, cfg.ratios[0], source="test", **kw)
     raw_train = collect_latents(model, train_meta, 1.0 - cfg.pi, raw=True, **kw)
     raw_test = collect_latents(model, test_meta, cfg.ratios[0], raw=True, **kw)
-    report.tv_estimate = tv_distance_diagnostic(lat_train, lat_test)
+    tv_latent = tv_distance_diagnostic(lat_train, lat_test)
     tv_raw = tv_distance_diagnostic(raw_train, raw_test)
 
     record = _record_skeleton("eval", cfg)
@@ -190,7 +201,7 @@ def cmd_eval(args) -> int:
             "auroc": {str(r): list(ms) for r, ms in report.per_ratio.items()},
             "auroc_mean": report.auroc,
             "cells": {str(r): c for r, c in report.cells.items()},
-            "diagnostics": {"tv_latent": report.tv_estimate, "tv_raw": tv_raw},
+            "diagnostics": {"tv_latent": tv_latent, "tv_raw": tv_raw},
             "n_scored": report.n_scored,
             "wall_clock_s": time.perf_counter() - started,
         }
@@ -201,7 +212,7 @@ def cmd_eval(args) -> int:
         ["anomaly_ratio", "auroc"],
         [[f"{r:g}", _fmt_auc(m, s)] for r, (m, s) in report.per_ratio.items()],
     )
-    print(f"shift diagnostic: tv latent {report.tv_estimate:.3f} vs raw {tv_raw:.3f}")
+    print(f"shift diagnostic: tv latent {tv_latent:.3f} vs raw {tv_raw:.3f}")
     if args.out:
         print(f"appended record to {args.out}")
     return 0
@@ -236,14 +247,14 @@ def cmd_ablate(args) -> int:
     rows = []
     records = []
 
-    def eval_model(model, test_meta, ratios):
+    def eval_model(model, test_meta, ratios, batch_size=cfg.eval_batch_size):
         return evaluate(
             model,
             test_meta,
             ratios=ratios,
             runs=cfg.runs,
             seed=cfg.eval_seed,
-            batch_size=cfg.eval_batch_size,
+            batch_size=batch_size,
             batches_per_run=cfg.eval_batches,
         )
 
@@ -255,15 +266,7 @@ def cmd_ablate(args) -> int:
         for b in (3, 6, 11, 16, 20, 40, 60):
             started = time.perf_counter()
             ratio = 1.0 / b if b < 20 else 0.1
-            report = evaluate(
-                model,
-                test_meta,
-                ratios=[ratio],
-                runs=cfg.runs,
-                seed=cfg.eval_seed,
-                batch_size=b,
-                batches_per_run=cfg.eval_batches,
-            )
+            report = eval_model(model, test_meta, [ratio], batch_size=b)
             mean, std = report.per_ratio[ratio]
             cell = {"batch_size": b, "anomaly_ratio": ratio}
             rows.append([b, f"{ratio:.3f}", _fmt_auc(mean, std)])
@@ -336,23 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="meta-train a detector")
-    p.add_argument("--config", help="flat key-value config file")
+    p.add_argument("--config", help="flat TOML config file")
     p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on unseen pools")
-    p.add_argument("--config", help="flat key-value config file")
+    p.add_argument("--config", help="flat TOML config file")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, help="override the evaluation seed")
-    p.add_argument("--ratios", help="comma-separated anomaly ratios, e.g. 0.01,0.1")
+    p.add_argument(
+        "--ratios", type=_ratio_list, help="comma-separated anomaly ratios, e.g. 0.01,0.1"
+    )
     p.add_argument("--runs", type=int, help="independent test runs per cell")
     p.add_argument("--out", help="JSON-lines results file (appended)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run a predefined study grid")
     p.add_argument("--suite", required=True, choices=ABLATE_SUITES)
-    p.add_argument("--config", help="flat key-value config file")
+    p.add_argument("--config", help="flat TOML config file")
     p.add_argument("--seed", type=int, help="override the evaluation seed")
     p.add_argument("--runs", type=int, help="independent test runs per cell")
     p.add_argument("--out", help="JSON-lines results file (appended)")

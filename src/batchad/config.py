@@ -1,89 +1,30 @@
-"""Experiment configuration: flat key-value files, validation, hashing.
+"""Experiment configuration: flat TOML files, validation, hashing.
 
-The config format is a flat TOML-style text file: one ``key = value`` pair per
-line, ``#`` comments, double-quoted strings, integers, floats, booleans
-(``true``/``false``), and flat bracketed lists. Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+A config file is flat TOML: one ``key = value`` pair per line, ``#``
+comments, quoted strings, integers, floats, booleans and lists. Unknown keys
+and values of the wrong type are rejected by name, so a typo cannot silently
+fall back to a default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tomllib
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .evaluation import check_ratios
 from .training import TrainConfig
 
-_BARE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
-
-
-def _parse_scalar(token: str, lineno: int):
-    token = token.strip()
-    if not token:
-        raise ConfigError(f"line {lineno}: empty value")
-    if token.startswith('"'):
-        if not (token.endswith('"') and len(token) >= 2):
-            raise ConfigError(f"line {lineno}: unterminated string")
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    if set(token) <= _BARE_CHARS:
-        return token
-    raise ConfigError(f"line {lineno}: cannot parse value {token!r}")
-
-
-def _strip_comment(text: str, lineno: int) -> str:
-    out = []
-    in_string = False
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    if in_string:
-        raise ConfigError(f"line {lineno}: unterminated string")
-    return "".join(out).strip()
-
 
 def parse_flat_config(text: str) -> dict:
-    """Parse a flat key-value config file into a dict of Python values."""
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw, lineno)
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        if not key or set(key) - _BARE_CHARS:
-            raise ConfigError(f"line {lineno}: bad key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if rhs.startswith("["):
-            if not rhs.endswith("]"):
-                raise ConfigError(f"line {lineno}: unterminated list")
-            inner = rhs[1:-1].strip()
-            values[key] = (
-                [] if not inner else [_parse_scalar(t, lineno) for t in inner.split(",")]
-            )
-        else:
-            values[key] = _parse_scalar(rhs, lineno)
-    return values
+    """Parse a flat TOML config file into a dict of Python values."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"config is not valid TOML: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -139,38 +80,49 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-_LIST_KEYS = {"hidden", "bn_mask", "ratios"}
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_HINTS = get_type_hints(ExperimentConfig)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` is of the annotated type: a bool only for a bool,
+    an int also for a float, a list for a tuple of its item type."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_fits(value, arm) for arm in args)
+    if isinstance(value, bool) != (hint is bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def resolve_config(values: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Merge file values and CLI overrides into a validated config.
 
-    Raises :class:`ConfigError` naming the first unknown key encountered.
+    Raises :class:`ConfigError` naming the first unknown key, or the first
+    key whose value is of the wrong type.
     """
     merged = dict(values)
     for key, val in (overrides or {}).items():
         if val is not None:
             merged[key] = val
-    unknown = sorted(set(merged) - _KNOWN_KEYS)
+    unknown = sorted(set(merged) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    for key in list(merged):
-        if key in _LIST_KEYS and merged[key] is not None:
-            if not isinstance(merged[key], (list, tuple)):
-                raise ConfigError(f"config key {key!r} must be a list")
-            merged[key] = tuple(merged[key])
-    try:
-        cfg = ExperimentConfig(**merged)
-        _validate(cfg)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    for key, val in merged.items():
+        if not _fits(val, _FIELD_HINTS[key]):
+            raise ConfigError(f"config key {key!r} must be {_FIELD_TYPES[key]}, got {val!r}")
+    cfg = ExperimentConfig(
+        **{key: tuple(val) if isinstance(val, list) else val for key, val in merged.items()}
+    )
+    _validate(cfg)
     return cfg
 
 
 def train_config_from(cfg: ExperimentConfig, **replacements) -> TrainConfig:
     """The experiment's training settings, with optional replacements."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig) if f.name in _KNOWN_KEYS}
+    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig) if f.name in _FIELD_TYPES}
     return TrainConfig(**{**values, **replacements})
 
 

@@ -132,7 +132,8 @@ class TabularSource:
 
     Rows are grouped into pools by the value of ``timestamp_col`` (bins sorted
     numerically when possible, else lexicographically); the first
-    ``train_bins`` bins become the training pools. Anomaly-labeled rows are
+    ``train_bins`` bins become the training pools. Every column but the
+    label and timestamp columns is a feature. Anomaly-labeled rows are
     kept only on the test side, as a designated anomaly pool. Per-feature
     standardization constants are fitted on the training bins only and applied
     everywhere.
@@ -141,7 +142,6 @@ class TabularSource:
     path: str
     label_col: str = "label"
     timestamp_col: str | None = "bin"
-    feature_cols: tuple[str, ...] | None = None
     train_bins: int | None = None
     delimiter: str = ","
     standardize: bool = True
@@ -191,11 +191,8 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
 
     label_idx = column_index(source.label_col)
     ts_idx = column_index(source.timestamp_col) if source.timestamp_col else None
-    if source.feature_cols is not None:
-        feat_idx = [column_index(c) for c in source.feature_cols]
-    else:
-        skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
-        feat_idx = [i for i in range(len(header)) if i not in skip]
+    skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
+    feat_idx = [i for i in range(len(header)) if i not in skip]
     if not feat_idx:
         raise ConfigError(f"{path}: no feature columns")
 

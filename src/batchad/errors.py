@@ -9,10 +9,6 @@ class BatchTooSmallError(ValueError):
     """Batch statistics requested on a batch with fewer than two rows."""
 
 
-class SamplingError(ValueError):
-    """A pool is too small for the requested draw without replacement."""
-
-
 class UndefinedMetricError(ValueError):
     """Metric undefined for the given labels (e.g. AUROC with one class)."""
 

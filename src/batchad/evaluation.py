@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -27,6 +28,8 @@ def check_ratios(ratios, batch_size: int) -> list[float]:
     if batch_size < 2:
         raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
     ratios = [float(r) for r in ratios]
+    if not ratios:
+        raise ConfigError("ratios must list at least one anomaly ratio")
     for r in ratios:
         if not 0.0 < r < 0.5:
             raise ConfigError(f"anomaly ratio must lie in (0, 0.5), got {r}")
@@ -35,11 +38,6 @@ def check_ratios(ratios, batch_size: int) -> list[float]:
                 f"ratio {r} with batch_size {batch_size} rounds to zero anomalies per batch"
             )
     return ratios
-
-
-def threshold_predict(scores: np.ndarray, tau: float) -> np.ndarray:
-    """Binary predictions: 1 iff score > tau (strict)."""
-    return (np.asarray(scores, dtype=DTYPE) > tau).astype(np.int64)
 
 
 def tie_average_ranks(values: np.ndarray) -> np.ndarray:
@@ -172,21 +170,7 @@ class EvalReport:
     auroc: float
     per_ratio: dict[float, tuple[float, float]]
     cells: dict[float, list[list[float]]] = field(default_factory=dict)
-    tau: float | None = None
-    confusion: dict[str, int] | None = None
-    tv_estimate: float | None = None
     n_scored: int = 0
-
-
-def _eval_cell(model, meta_test, rotation, mix, cell_seed, batches):
-    rng = np.random.default_rng(np.random.SeedSequence(cell_seed))
-    scores = []
-    labels = []
-    for _ in range(batches):
-        task = build_contaminated_task(meta_test, rotation, mix, rng)
-        scores.append(model.score_batch(task.x).s)
-        labels.append(task.y)
-    return np.concatenate(scores), np.concatenate(labels)
 
 
 def evaluate(
@@ -197,41 +181,29 @@ def evaluate(
     seed: int = 0,
     batch_size: int = 60,
     batches_per_run: int = 25,
-    tau: float | None = None,
 ) -> EvalReport:
     """One-vs-rest evaluation over the test meta-set.
 
     For every test pool (rotation), anomaly ratio, and run, builds
     ``batches_per_run`` contaminated batches, scores them, and computes one
     AUROC per cell from the pooled scores. Cell RNG streams depend only on
-    (seed, rotation, run), so results are independent of execution order.
+    (seed, ratio index, rotation, run), so results are independent of
+    execution order.
     """
     ratios = check_ratios(ratios, batch_size)
-
-    jobs = []
-    for ri, ratio in enumerate(ratios):
-        mix = MixtureConfig(pi=1.0 - ratio, batch_size=batch_size)
-        for rotation in range(meta_test.k):
-            for run in range(runs):
-                jobs.append((ri, rotation, run, mix))
-
-    outcomes = [
-        _eval_cell(model, meta_test, rotation, mix, [seed, ri, rotation, run], batches_per_run)
-        for ri, rotation, run, mix in jobs
-    ]
-
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))
     n_scored = 0
-    tp = fp = tn = fn = 0
-    for (ri, rotation, run, _mix), (scores, labels) in zip(jobs, outcomes):
-        cell_auc[ri, rotation, run] = auroc(scores, labels)
+    for (ri, ratio), rotation, run in product(enumerate(ratios), range(meta_test.k), range(runs)):
+        mix = MixtureConfig(pi=1.0 - ratio, batch_size=batch_size)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
+        scores, labels = [], []
+        for _ in range(batches_per_run):
+            task = build_contaminated_task(meta_test, rotation, mix, rng)
+            scores.append(model.score_batch(task.x).s)
+            labels.append(task.y)
+        scores = np.concatenate(scores)
+        cell_auc[ri, rotation, run] = auroc(scores, np.concatenate(labels))
         n_scored += len(scores)
-        if tau is not None:
-            pred = threshold_predict(scores, tau)
-            tp += int(((pred == 1) & (labels == 1)).sum())
-            fp += int(((pred == 1) & (labels == 0)).sum())
-            tn += int(((pred == 0) & (labels == 0)).sum())
-            fn += int(((pred == 0) & (labels == 1)).sum())
 
     per_ratio = {}
     cells = {}
@@ -244,9 +216,5 @@ def evaluate(
         auroc=float(np.mean([m for m, _ in per_ratio.values()])),
         per_ratio=per_ratio,
         cells=cells,
-        tau=tau,
-        confusion=(
-            {"tp": tp, "fp": fp, "tn": tn, "fn": fn} if tau is not None else None
-        ),
         n_scored=n_scored,
     )

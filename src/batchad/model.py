@@ -16,6 +16,7 @@ import numpy as np
 
 from .nn import (
     BN_BATCH,
+    BN_FROZEN,
     BN_IDENTITY,
     BN_MODES,
     DTYPE,
@@ -308,7 +309,7 @@ def save_checkpoint(model: DetectorModel, path) -> None:
 def load_checkpoint(path) -> DetectorModel:
     """Read a checkpoint whose header lists exactly the parameters of the
     model it describes, and either no statistics or all the frozen mode
-    reads; anything else is a ``ValueError``."""
+    reads (all of them in frozen mode); anything else is a ``ValueError``."""
     with open(path, "rb") as fh:
         if fh.readline() != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
@@ -339,6 +340,8 @@ def load_checkpoint(path) -> DetectorModel:
         raise ValueError(
             f"checkpoint {path} lists statistics {listed_stats}, this model has none or {stats}"
         )
+    if model.bn_mode == BN_FROZEN and listed_stats != stats:
+        raise ValueError(f"checkpoint {path} is in frozen mode but lists no statistics")
 
     offset = 0
 

@@ -8,11 +8,11 @@ up with rows from the other pools, which play the anomaly role for that task.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError
 from .nn import DTYPE, as_batch
 
 
@@ -75,7 +75,6 @@ class MixtureConfig:
     pi: float
     batch_size: int
     tasks_per_iter: int = 1
-    with_replacement: bool = True
 
     def __post_init__(self):
         if not (0.5 < self.pi <= 1.0):
@@ -100,18 +99,6 @@ def normal_count(pi: float, batch_size: int) -> int:
     return n
 
 
-def _draw_rows(pool: np.ndarray, count: int, rng: np.random.Generator, with_replacement: bool) -> np.ndarray:
-    if with_replacement:
-        idx = rng.integers(0, len(pool), size=count)
-    else:
-        if len(pool) < count:
-            raise SamplingError(
-                f"pool of {len(pool)} rows cannot supply {count} without replacement"
-            )
-        idx = rng.choice(len(pool), size=count, replace=False)
-    return pool[idx]
-
-
 def build_contaminated_task(
     meta: MetaDataset, j: int, cfg: MixtureConfig, rng: np.random.Generator
 ) -> TaskBatch:
@@ -128,37 +115,22 @@ def build_contaminated_task(
 
     x = np.empty((b, meta.dim), dtype=DTYPE)
     y = np.zeros(b, dtype=np.int64)
-    x[:n_norm] = _draw_rows(meta.pools[j], n_norm, rng, cfg.with_replacement)
+    own = meta.pools[j]
+    x[:n_norm] = own[rng.integers(0, len(own), size=n_norm)]
 
     if n_anom > 0:
         if meta.anomaly_pool is not None:
-            x[n_norm:] = _draw_rows(meta.anomaly_pool, n_anom, rng, cfg.with_replacement)
+            pool = meta.anomaly_pool
+            x[n_norm:] = pool[rng.integers(0, len(pool), size=n_anom)]
         else:
             if meta.k < 2:
                 raise ConfigError(
                     "pi < 1 needs either a second pool or a designated anomaly pool"
                 )
             donors = [i for i in range(meta.k) if i != j]
-            if cfg.with_replacement:
-                for row in range(n_anom):
-                    donor = meta.pools[donors[rng.integers(0, len(donors))]]
-                    x[n_norm + row] = donor[rng.integers(0, len(donor))]
-            else:
-                seen: set[tuple[int, int]] = set()
-                total = sum(len(meta.pools[i]) for i in donors)
-                if total < n_anom:
-                    raise SamplingError(
-                        f"complement of pool {j} has {total} rows, need {n_anom}"
-                    )
-                row = 0
-                while row < n_anom:
-                    di = donors[rng.integers(0, len(donors))]
-                    ri = int(rng.integers(0, len(meta.pools[di])))
-                    if (di, ri) in seen:
-                        continue
-                    seen.add((di, ri))
-                    x[n_norm + row] = meta.pools[di][ri]
-                    row += 1
+            for row in range(n_anom):
+                donor = meta.pools[donors[rng.integers(0, len(donors))]]
+                x[n_norm + row] = donor[rng.integers(0, len(donor))]
         y[n_norm:] = 1
 
     perm = rng.permutation(b)

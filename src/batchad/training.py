@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ class TrainConfig:
     bn_mask: tuple[bool, ...] | None = None
     loss: str = LOSS_META_OE  # meta_oe | one_class
     center_frozen: bool = False
-    with_replacement: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -74,10 +72,7 @@ class TrainConfig:
 
     def mixture(self) -> MixtureConfig:
         return MixtureConfig(
-            pi=self.pi,
-            batch_size=self.batch_size,
-            tasks_per_iter=self.tasks_per_iter,
-            with_replacement=self.with_replacement,
+            pi=self.pi, batch_size=self.batch_size, tasks_per_iter=self.tasks_per_iter
         )
 
     def architecture(self, input_dim: int) -> Architecture:
@@ -103,8 +98,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     loss_curve: list[float]
-    seed: int
-    wall_clock_s: float
     diverged_iterations: int = 0
 
     @property
@@ -163,7 +156,6 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     losses: list[float] = []
     bad_streak = 0
     diverged = 0
-    started = time.perf_counter()
     for _ in range(cfg.iterations):
         tasks = sample_iteration_tasks(meta, mixture, task_rng)
         mean_loss, avg = average_task_gradients(model, tasks, loss_kind=cfg.loss, mode=train_mode)
@@ -184,10 +176,4 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     if cfg.bn_mode == BN_FROZEN:
         model.freeze_batch_stats(max(tasks, key=_task_key).x)
 
-    report = TrainReport(
-        loss_curve=losses,
-        seed=cfg.seed,
-        wall_clock_s=time.perf_counter() - started,
-        diverged_iterations=diverged,
-    )
-    return model, report
+    return model, TrainReport(loss_curve=losses, diverged_iterations=diverged)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from batchad.cli import main
+from batchad.model import Architecture, DetectorModel, save_checkpoint
 
 TINY_CONFIG = """\
 # tiny smoke-test experiment
@@ -86,6 +87,13 @@ class TestTrain:
         assert code == 2
         assert "learnign_rate" in capsys.readouterr().err
 
+    def test_wrong_typed_value_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(TINY_CONFIG + 'seed = "x"\n')
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "none.toml"), "--out", str(tmp_path / "m")])
         assert code == 2
@@ -142,6 +150,14 @@ class TestEval:
         assert code == 2
         assert "zero anomalies" in capsys.readouterr().err
 
+    def test_unparseable_ratios_is_usage_error(self, tiny_config, tmp_path, capsys):
+        code = main([
+            "eval", "--config", str(tiny_config), "--model", str(tmp_path / "m.ckpt"),
+            "--ratios", "0.1,x",
+        ])
+        assert code == 2
+        assert "--ratios" in capsys.readouterr().err
+
     @staticmethod
     def edit_header(ckpt, edit, extra=b""):
         """Rewrite a checkpoint's JSON header with ``edit`` and append
@@ -177,6 +193,17 @@ class TestEval:
         main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
         self.edit_header(ckpt, lambda head: head["arch"].update(hidden=8))
         code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_frozen_checkpoint_without_statistics_fails_before_data(self, tmp_path, capsys):
+        # the data file does not exist: the checkpoint must be rejected first
+        config = tmp_path / "exp.toml"
+        config.write_text(TINY_CONFIG + f'data_csv = "{tmp_path / "absent.csv"}"\n')
+        ckpt = tmp_path / "m.ckpt"
+        arch = Architecture(input_dim=3, hidden=(8, 8), latent_dim=4)
+        save_checkpoint(DetectorModel(arch, bn_mode="frozen"), ckpt)
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err
 

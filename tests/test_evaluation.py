@@ -1,5 +1,5 @@
-"""AUROC against the pair-counting oracle, thresholding, the projected TV
-diagnostic, and the batch scoring protocol."""
+"""AUROC against the pair-counting oracle, the projected TV diagnostic, and
+the batch scoring protocol."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from batchad.evaluation import (
     auroc,
     collect_latents,
     evaluate,
-    threshold_predict,
     tie_average_ranks,
     tv_distance_diagnostic,
 )
@@ -68,26 +67,6 @@ class TestTieAverageRanks:
             tie_average_ranks(values).view(np.int64),
             reference_tie_average_ranks(values).view(np.int64),
         )
-
-
-class TestThresholdPredict:
-    def test_minus_infinity_flags_everything(self):
-        np.testing.assert_array_equal(
-            threshold_predict([0.1, 5.0], -np.inf), [1, 1]
-        )
-
-    def test_max_threshold_flags_nothing(self):
-        scores = [0.4, 0.9, 0.9]
-        np.testing.assert_array_equal(threshold_predict(scores, 0.9), [0, 0, 0])
-
-    def test_midpoint(self):
-        np.testing.assert_array_equal(threshold_predict([0.1, 0.9], 0.5), [0, 1])
-
-    def test_raising_tau_never_adds_positives(self):
-        rng = np.random.default_rng(0)
-        scores = rng.normal(size=100)
-        counts = [threshold_predict(scores, t).sum() for t in np.linspace(-3, 3, 25)]
-        assert counts == sorted(counts, reverse=True)
 
 
 class TestTvDiagnostic:
@@ -208,14 +187,6 @@ class TestEvaluate:
         a = evaluate(model, test_meta, ratios=[0.1, 0.2], runs=2, batches_per_run=3, seed=7)
         b = evaluate(model, test_meta, ratios=[0.1, 0.2], runs=2, batches_per_run=3, seed=7)
         assert a.per_ratio == b.per_ratio
-
-    def test_confusion_counts_sum_to_scored(self, small_setup):
-        _, test_meta = small_setup
-        rep = evaluate(
-            untrained_model(dim=4), test_meta, ratios=[0.1], runs=1,
-            batches_per_run=3, batch_size=20, tau=10.0,
-        )
-        assert sum(rep.confusion.values()) == rep.n_scored
 
 
 class TestCollectLatents:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from batchad.errors import ConfigError, SamplingError
+from batchad.errors import ConfigError
 from batchad.tasks import (
     MetaDataset,
     MixtureConfig,
@@ -79,12 +79,6 @@ class TestBuildContaminatedTask:
         cfg = MixtureConfig(pi=0.8, batch_size=20)
         task = build_contaminated_task(meta, 0, cfg, np.random.default_rng(3))
         assert np.all(task.x[task.y == 1][:, 0] == -1.0)
-
-    def test_without_replacement_respects_pool_size(self):
-        meta = tagged_meta(k=2, n=10)
-        cfg = MixtureConfig(pi=0.8, batch_size=30, with_replacement=False)
-        with pytest.raises(SamplingError):
-            build_contaminated_task(meta, 0, cfg, np.random.default_rng(0))
 
     def test_majority_always_holds(self):
         meta = tagged_meta()

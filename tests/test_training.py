@@ -269,6 +269,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="center"):
             load_checkpoint(path)
 
+    def test_frozen_header_without_statistics_is_rejected(self, tmp_path):
+        # an untrained frozen model has no statistics to save; loading must
+        # fail, not the first scoring call
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_cfg(bn_mode="frozen").model(input_dim=1), path)
+        with pytest.raises(ValueError, match="frozen mode but lists no statistics"):
+            load_checkpoint(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint")
