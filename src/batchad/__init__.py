@@ -19,7 +19,6 @@ from .data import (
 )
 from .evaluation import (
     EvalReport,
-    LatentSample,
     auroc,
     collect_latents,
     evaluate,
@@ -50,7 +49,6 @@ __all__ = [
     "DetectorModel",
     "EvalReport",
     "GaussianMetaSpec",
-    "LatentSample",
     "MetaDataset",
     "MixtureConfig",
     "ScoreVector",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, parse_flat_config, resolve_config, train_config_from
+from .config import ExperimentConfig, parse_flat_config, resolve_config
 from .data import (
     GAUSSIAN_PRESETS,
     GaussianMetaSpec,
@@ -32,7 +32,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
-from .model import Architecture, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .training import train
 
 
@@ -100,6 +100,19 @@ def build_metasets(cfg: ExperimentConfig):
     return train_meta, test_meta
 
 
+def _evaluate(model, test_meta, cfg: ExperimentConfig):
+    """:func:`evaluate` with the config's evaluation settings."""
+    return evaluate(
+        model,
+        test_meta,
+        ratios=cfg.ratios,
+        runs=cfg.runs,
+        seed=cfg.eval_seed,
+        batch_size=cfg.eval_batch_size,
+        batches_per_run=cfg.eval_batches,
+    )
+
+
 def _append_record(path, record: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -143,7 +156,7 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     train_meta, _ = build_metasets(cfg)
     started = time.perf_counter()
-    model, report = train(train_meta, train_config_from(cfg))
+    model, report = train(train_meta, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
@@ -175,21 +188,11 @@ def cmd_eval(args) -> int:
     if test_meta is None:
         raise ConfigError("the configured data source has no test side")
     started = time.perf_counter()
-    report = evaluate(
-        model,
-        test_meta,
-        ratios=cfg.ratios,
-        runs=cfg.runs,
-        seed=cfg.eval_seed,
-        batch_size=cfg.eval_batch_size,
-        batches_per_run=cfg.eval_batches,
-    )
+    report = _evaluate(model, test_meta, cfg)
     # shift diagnostic: train-mixture vs unseen-test gap, in latent space and raw
     kw = dict(n_batches=20, batch_size=cfg.eval_batch_size, seed=cfg.eval_seed)
-    lat_train = collect_latents(model, train_meta, 1.0 - cfg.pi, source="train-mix", **kw)
-    lat_test = collect_latents(model, test_meta, cfg.ratios[0], source="test", **kw)
-    raw_train = collect_latents(model, train_meta, 1.0 - cfg.pi, raw=True, **kw)
-    raw_test = collect_latents(model, test_meta, cfg.ratios[0], raw=True, **kw)
+    raw_train, lat_train = collect_latents(model, train_meta, 1.0 - cfg.pi, **kw)
+    raw_test, lat_test = collect_latents(model, test_meta, cfg.ratios[0], **kw)
     tv_latent = tv_distance_diagnostic(lat_train, lat_test)
     tv_raw = tv_distance_diagnostic(raw_train, raw_test)
 
@@ -222,7 +225,7 @@ ABLATE_SUITES = ("bn-mode", "batch-size", "num-classes", "pi", "loss-variant", "
 
 
 def _ablate_cells(suite: str, cfg: ExperimentConfig):
-    """Yield (cell description, TrainConfig replacements) for a suite."""
+    """Yield (cell description, training-setting replacements) for a suite."""
     if suite == "bn-mode":
         for mode in ("batch", "frozen", "identity"):
             yield {"bn_mode": mode}, {"bn_mode": mode}
@@ -234,39 +237,26 @@ def _ablate_cells(suite: str, cfg: ExperimentConfig):
         yield {"loss": "meta_oe", "pi": cfg.pi}, {"loss": "meta_oe"}
         yield {"loss": "one_class", "pi": 1.0}, {"loss": "one_class", "pi": 1.0}
     elif suite == "bn-position":
-        arch = Architecture(input_dim=1, hidden=cfg.hidden, input_bn=cfg.input_bn)
-        n = arch.n_bn_positions(cfg.head)
+        n = cfg.architecture(1).n_bn_positions(cfg.head)
         for pos in range(n):
-            mask = tuple(i == pos for i in range(n))
-            yield {"bn_position": pos, "bn_mask": list(map(int, mask))}, {"bn_mask": mask}
-        yield {"bn_position": "all", "bn_mask": [1] * n}, {"bn_mask": (True,) * n}
+            mask = tuple(int(i == pos) for i in range(n))
+            yield {"bn_position": pos, "bn_mask": list(mask)}, {"bn_mask": mask}
+        yield {"bn_position": "all", "bn_mask": [1] * n}, {"bn_mask": (1,) * n}
 
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     rows = []
     records = []
-
-    def eval_model(model, test_meta, ratios, batch_size=cfg.eval_batch_size):
-        return evaluate(
-            model,
-            test_meta,
-            ratios=ratios,
-            runs=cfg.runs,
-            seed=cfg.eval_seed,
-            batch_size=batch_size,
-            batches_per_run=cfg.eval_batches,
-        )
-
     if args.suite == "batch-size":
         # single trained model, swept over scoring batch sizes; tiny batches
         # hold exactly one anomaly, larger ones a 10% admixture
         train_meta, test_meta = build_metasets(cfg)
-        model, _ = train(train_meta, train_config_from(cfg))
+        model, _ = train(train_meta, cfg)
         for b in (3, 6, 11, 16, 20, 40, 60):
             started = time.perf_counter()
             ratio = 1.0 / b if b < 20 else 0.1
-            report = eval_model(model, test_meta, [ratio], batch_size=b)
+            report = _evaluate(model, test_meta, replace(cfg, eval_batch_size=b, ratios=(ratio,)))
             mean, std = report.per_ratio[ratio]
             cell = {"batch_size": b, "anomaly_ratio": ratio}
             rows.append([b, f"{ratio:.3f}", _fmt_auc(mean, std)])
@@ -278,17 +268,17 @@ def cmd_ablate(args) -> int:
             started = time.perf_counter()
             spec = replace(_gaussian_spec(cfg), train_distributions=max(k, 2))
             train_meta, test_meta = generate_gaussian_metaset(spec, cfg.data_seed)
-            replacements = {}
+            cell_cfg = replace(cfg, ratios=(0.1,))
             if k == 1:
                 # a single pool has an empty complement; train uncontaminated
                 train_meta = type(train_meta)(
                     pools=train_meta.pools[:1], ids=train_meta.ids[:1]
                 )
-                replacements["pi"] = 1.0
-            model, _ = train(train_meta, train_config_from(cfg, **replacements))
-            report = eval_model(model, test_meta, [0.1])
+                cell_cfg = replace(cell_cfg, pi=1.0)
+            model, _ = train(train_meta, cell_cfg)
+            report = _evaluate(model, test_meta, cell_cfg)
             mean, std = report.per_ratio[0.1]
-            cell = {"train_classes": k, "pi": replacements.get("pi", cfg.pi)}
+            cell = {"train_classes": k, "pi": cell_cfg.pi}
             rows.append([k, _fmt_auc(mean, std)])
             records.append((cell, mean, std, time.perf_counter() - started))
     else:
@@ -296,8 +286,9 @@ def cmd_ablate(args) -> int:
         headers = ["cell", "auroc"]
         for cell, replacements in _ablate_cells(args.suite, cfg):
             started = time.perf_counter()
-            model, _ = train(train_meta, train_config_from(cfg, **replacements))
-            report = eval_model(model, test_meta, [0.1])
+            cell_cfg = replace(cfg, ratios=(0.1,), **replacements)
+            model, _ = train(train_meta, cell_cfg)
+            report = _evaluate(model, test_meta, cell_cfg)
             mean, std = report.per_ratio[0.1]
             rows.append([json.dumps(cell, sort_keys=True), _fmt_auc(mean, std)])
             records.append((cell, mean, std, time.perf_counter() - started))

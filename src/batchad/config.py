@@ -1,21 +1,22 @@
 """Experiment configuration: flat TOML files, validation, hashing.
 
 A config file is flat TOML: one ``key = value`` pair per line, ``#``
-comments, quoted strings, integers, floats, booleans and lists. Unknown keys
-and values of the wrong type are rejected by name, so a typo cannot silently
-fall back to a default.
+comments, quoted strings, integers, floats, booleans and lists. Unknown keys,
+values of the wrong type and non-finite floats are rejected by name, so a
+typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tomllib
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .evaluation import check_ratios
+from .evaluation import DEFAULT_RATIOS, check_ratios
 from .training import TrainConfig
 
 
@@ -28,24 +29,10 @@ def parse_flat_config(text: str) -> dict:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Every knob of a full experiment, resolved and validated."""
+class ExperimentConfig(TrainConfig):
+    """Every knob of a full experiment, resolved and validated: the training
+    settings of :class:`TrainConfig` plus the data source and evaluation."""
 
-    # training
-    seed: int = 0
-    iterations: int = 800
-    tasks_per_iter: int = 8
-    batch_size: int = 60
-    pi: float = 0.8
-    learning_rate: float = 1e-3
-    head: str = "dsvdd"
-    hidden: tuple[int, ...] = (64, 64, 64)
-    latent_dim: int = 32
-    input_bn: bool = False
-    bn_mode: str = "batch"
-    bn_mask: tuple[int, ...] | None = None
-    loss: str = "meta_oe"
-    center_frozen: bool = False
     # data source: synthetic preset/spec or a CSV file
     data_preset: str = "gaussian8"
     data_csv: str | None = None
@@ -62,11 +49,22 @@ class ExperimentConfig:
     delimiter: str = ","
     permutations: int = 0
     # evaluation
-    ratios: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2)
+    ratios: tuple[float, ...] = DEFAULT_RATIOS
     runs: int = 5
     eval_seed: int = 0
     eval_batch_size: int = 60
     eval_batches: int = 25
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_ratios(self.ratios, self.eval_batch_size)
+        for name in ("runs", "eval_batches"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.permutations < 0:
+            raise ConfigError(f"permutations must be nonnegative, got {self.permutations}")
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
 
     def as_dict(self) -> dict:
         out = {}
@@ -101,7 +99,7 @@ def resolve_config(values: dict, overrides: dict | None = None) -> ExperimentCon
     """Merge file values and CLI overrides into a validated config.
 
     Raises :class:`ConfigError` naming the first unknown key, or the first
-    key whose value is of the wrong type.
+    key whose value is of the wrong type or a non-finite float.
     """
     merged = dict(values)
     for key, val in (overrides or {}).items():
@@ -113,24 +111,9 @@ def resolve_config(values: dict, overrides: dict | None = None) -> ExperimentCon
     for key, val in merged.items():
         if not _fits(val, _FIELD_HINTS[key]):
             raise ConfigError(f"config key {key!r} must be {_FIELD_TYPES[key]}, got {val!r}")
-    cfg = ExperimentConfig(
+        items = val if isinstance(val, list) else [val]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"config key {key!r} must be finite, got {val!r}")
+    return ExperimentConfig(
         **{key: tuple(val) if isinstance(val, list) else val for key, val in merged.items()}
     )
-    _validate(cfg)
-    return cfg
-
-
-def train_config_from(cfg: ExperimentConfig, **replacements) -> TrainConfig:
-    """The experiment's training settings, with optional replacements."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig) if f.name in _FIELD_TYPES}
-    return TrainConfig(**{**values, **replacements})
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    train_config_from(cfg)
-    check_ratios(cfg.ratios, cfg.eval_batch_size)
-    for name in ("runs", "eval_batches"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if cfg.permutations < 0:
-        raise ConfigError(f"permutations must be nonnegative, got {cfg.permutations}")

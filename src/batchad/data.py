@@ -170,18 +170,20 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     """Read a delimited file into (train meta-set, test meta-set).
 
     Without a timestamp column the whole file forms a single training pool and
-    the test side is ``None``. Unparseable or non-finite rows abort the load
-    with their line numbers; anomaly detectors are too sensitive to imputation
-    for silent repair to be safe.
+    the test side is ``None``. Unparseable or non-finite rows, and malformed
+    CSV, abort the load with their line numbers; anomaly detectors are too
+    sensitive to imputation for silent repair to be safe.
     """
     path = Path(source.path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=source.delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        rows = list(reader)
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ConfigError(f"{path}: empty file")
 
     def column_index(name: str) -> int:
         try:

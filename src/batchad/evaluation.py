@@ -74,17 +74,9 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 # ----- distribution-shift diagnostic ----------------------------------------
 
-@dataclass(frozen=True)
-class LatentSample:
-    """Rows of some representation space tagged with their origin."""
-
-    z: np.ndarray
-    source: str = ""
-
-
 def tv_distance_diagnostic(
-    a: LatentSample,
-    b: LatentSample,
+    a: np.ndarray,
+    b: np.ndarray,
     bins: int | None = None,
     n_projections: int = 16,
     seed: int = 0,
@@ -97,8 +89,8 @@ def tv_distance_diagnostic(
     d-dimensional TV estimate is unreliable; a projection bound is honest and
     still moves in the right direction.
     """
-    za = as_batch(a.z)
-    zb = as_batch(b.z)
+    za = as_batch(a)
+    zb = as_batch(b)
     if za.shape[1] != zb.shape[1]:
         raise ValueError("samples disagree on dimension")
     if len(za) == 0 or len(zb) == 0:
@@ -138,22 +130,20 @@ def collect_latents(
     n_batches: int,
     batch_size: int,
     seed: int,
-    raw: bool = False,
-    source: str = "",
-) -> LatentSample:
-    """Stack representations of contaminated batches from all pools of ``meta``.
-
-    With ``raw=True`` the untransformed inputs are returned instead, giving
-    the pre-network baseline the diagnostic is compared against.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(raw rows, latent rows) of contaminated batches from all pools of
+    ``meta``: the untransformed inputs, the pre-network baseline the
+    diagnostic is compared against, and the model's representation of them.
     """
     mix = MixtureConfig(pi=1.0 - anomaly_ratio, batch_size=batch_size)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows = []
+    raw, latent = [], []
     for i in range(n_batches):
         j = int(rng.integers(0, meta.k))
         task = build_contaminated_task(meta, j, mix, rng)
-        rows.append(task.x if raw else model.latent_batch(task.x))
-    return LatentSample(z=np.concatenate(rows, axis=0), source=source)
+        raw.append(task.x)
+        latent.append(model.latent_batch(task.x))
+    return np.concatenate(raw, axis=0), np.concatenate(latent, axis=0)
 
 
 # ----- full evaluation protocol ----------------------------------------------

@@ -64,6 +64,16 @@ class Architecture:
     def n_bn_positions(self, head: str) -> int:
         return int(self.input_bn) + len(self.hidden) + (1 if head == HEAD_DSVDD else 0)
 
+    def n_params(self, head: str) -> int:
+        """Number of parameter values of a model of this shape, counted
+        without building it: linear weights and biases, every gamma and
+        beta, and the distance head's center."""
+        latent = self.latent_dim if head == HEAD_DSVDD else 0
+        widths = (self.input_dim, *self.hidden, latent or 1)
+        linear = sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+        norms = self.input_bn * self.input_dim + sum(self.hidden) + latent
+        return linear + 2 * norms + latent
+
 
 class DetectorModel:
     """Layer stack plus head parameters.
@@ -180,14 +190,14 @@ class DetectorModel:
             return dsvdd_scores(out, self.center, self.inverse_eps)
         return bce_scores(out[:, 0])
 
-    def score_batch(self, x: np.ndarray, mode: str | None = None) -> ScoreVector:
+    def score_batch(self, x: np.ndarray) -> ScoreVector:
         """Score one (batch, features) batch; batch statistics need at least
         two rows."""
-        out, _latent, _tape = self.forward(as_batch(x), mode=mode)
+        out, _latent, _tape = self.forward(as_batch(x))
         return self._scores(out)
 
-    def latent_batch(self, x: np.ndarray, mode: str | None = None) -> np.ndarray:
-        _out, latent, _tape = self.forward(x, mode=mode)
+    def latent_batch(self, x: np.ndarray) -> np.ndarray:
+        _out, latent, _tape = self.forward(x)
         return latent
 
     def loss_and_grads(
@@ -318,6 +328,11 @@ def load_checkpoint(path) -> DetectorModel:
 
     try:
         arch = Architecture(**{**header["arch"], "hidden": tuple(header["arch"]["hidden"])})
+        # refuse before allocating: the header may describe a model far larger
+        # than the file, e.g. after a bit flip in a width
+        needed = arch.n_params(header["head"])
+        if 8 * needed > len(blob):
+            raise ValueError(f"arch needs {needed} values, the file holds {len(blob) // 8}")
         model = DetectorModel(
             arch,
             head=header["head"],

@@ -40,18 +40,18 @@ def no_bn_trivial_loss_value(pi: float) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    iterations: int
-    tasks_per_iter: int
-    batch_size: int
-    pi: float
-    learning_rate: float
-    seed: int
+    iterations: int = 800
+    tasks_per_iter: int = 8
+    batch_size: int = 60
+    pi: float = 0.8
+    learning_rate: float = 1e-3
+    seed: int = 0
     head: str = HEAD_DSVDD
     hidden: tuple[int, ...] = (64, 64, 64)
     latent_dim: int = 32
     input_bn: bool = False
     bn_mode: str = BN_BATCH
-    bn_mask: tuple[bool, ...] | None = None
+    bn_mask: tuple[int, ...] | None = None
     loss: str = LOSS_META_OE  # meta_oe | one_class
     center_frozen: bool = False
 

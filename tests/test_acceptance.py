@@ -17,7 +17,6 @@ import pytest
 from batchad.cli import main as cli_main
 from batchad.data import GaussianMetaSpec, generate_gaussian_metaset
 from batchad.evaluation import (
-    LatentSample,
     auroc,
     collect_latents,
     evaluate,
@@ -289,10 +288,8 @@ def test_a10_normalization_shrinks_distribution_gap(preset_metaset):
         cfg = TrainConfig(**{**HEADLINE_CFG.__dict__, "iterations": 500, "seed": seed})
         model, _ = train(train_meta, cfg)
         kw = dict(n_batches=30, batch_size=60)
-        lat_train = collect_latents(model, train_meta, 0.2, seed=seed * 2 + 1, **kw)
-        lat_test = collect_latents(model, test_meta, 0.1, seed=seed * 2 + 2, **kw)
-        raw_train = collect_latents(model, train_meta, 0.2, seed=seed * 2 + 1, raw=True, **kw)
-        raw_test = collect_latents(model, test_meta, 0.1, seed=seed * 2 + 2, raw=True, **kw)
+        raw_train, lat_train = collect_latents(model, train_meta, 0.2, seed=seed * 2 + 1, **kw)
+        raw_test, lat_test = collect_latents(model, test_meta, 0.1, seed=seed * 2 + 2, **kw)
         pairs.append(
             (
                 tv_distance_diagnostic(lat_train, lat_test),

@@ -188,6 +188,16 @@ class TestEval:
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err
 
+    def test_oversized_arch_fails_before_allocating(self, tiny_config, tmp_path, capsys):
+        # building this model would take hundreds of TiB
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        self.edit_header(ckpt, lambda head: head["arch"].update(input_dim=10**7, hidden=[10**7]))
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "arch needs" in err
+
     def test_scalar_hidden_widths_are_runtime_error(self, tiny_config, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         main(["train", "--config", str(tiny_config), "--out", str(ckpt)])

@@ -124,6 +124,13 @@ class TestLoadTabular:
         with pytest.raises(ValueError, match="line.*3"):
             load_tabular(TabularSource(path=path, train_bins=1))
 
+    def test_malformed_csv_reports_file_and_line(self, tmp_path):
+        # a field past the csv module's size limit is a csv.Error
+        rows = ["0,0,1,2", "0,0," + "9" * 200_000 + ",2", "1,0,3,4"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(ValueError, match=r"d\.csv: malformed CSV at line 3: field larger"):
+            load_tabular(TabularSource(path=path, train_bins=1))
+
     def test_non_finite_rejected(self, tmp_path):
         rows = ["0,0,1,2", "0,0,nan,2", "1,0,3,4"]
         path = write_csv(tmp_path / "d.csv", rows)

@@ -7,7 +7,6 @@ import pytest
 from batchad.data import GaussianMetaSpec, generate_gaussian_metaset
 from batchad.errors import BatchTooSmallError, UndefinedMetricError
 from batchad.evaluation import (
-    LatentSample,
     auroc,
     collect_latents,
     evaluate,
@@ -72,22 +71,22 @@ class TestTieAverageRanks:
 class TestTvDiagnostic:
     def test_identical_samples_zero(self):
         z = np.random.default_rng(0).normal(size=(50, 3))
-        assert tv_distance_diagnostic(LatentSample(z), LatentSample(z.copy())) == 0.0
+        assert tv_distance_diagnostic(z, z.copy()) == 0.0
 
     def test_disjoint_supports_one(self):
-        a = LatentSample(np.zeros((40, 2)))
-        b = LatentSample(np.ones((40, 2)) * 9.0)
+        a = np.zeros((40, 2))
+        b = np.ones((40, 2)) * 9.0
         assert tv_distance_diagnostic(a, b) == 1.0
 
     def test_hand_histogram(self):
-        a = LatentSample(np.zeros((100, 1)))
-        b = LatentSample(np.concatenate([np.zeros((50, 1)), np.ones((50, 1))]))
+        a = np.zeros((100, 1))
+        b = np.concatenate([np.zeros((50, 1)), np.ones((50, 1))])
         assert tv_distance_diagnostic(a, b, bins=2, n_projections=0) == 0.5
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(2)
-        a = LatentSample(rng.normal(size=(80, 4)))
-        b = LatentSample(rng.normal(1.0, 2.0, size=(60, 4)))
+        a = rng.normal(size=(80, 4))
+        b = rng.normal(1.0, 2.0, size=(60, 4))
         ab = tv_distance_diagnostic(a, b, seed=5)
         ba = tv_distance_diagnostic(b, a, seed=5)
         assert ab == ba
@@ -95,9 +94,7 @@ class TestTvDiagnostic:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            tv_distance_diagnostic(
-                LatentSample(np.zeros((0, 2))), LatentSample(np.zeros((5, 2)))
-            )
+            tv_distance_diagnostic(np.zeros((0, 2)), np.zeros((5, 2)))
 
 
 def untrained_model(dim=8, seed=0, **kw):
@@ -206,7 +203,8 @@ class TestCollectLatents:
         )
         train_meta, _ = generate_gaussian_metaset(spec, seed=1)
         model = untrained_model(dim=4)
-        sample = collect_latents(model, train_meta, 0.1, 3, 20, seed=0, raw=True)
-        assert sample.z.shape == (60, 4)
-        latent = collect_latents(model, train_meta, 0.1, 3, 20, seed=0)
-        assert latent.z.shape == (60, 16)
+        raw, latent = collect_latents(model, train_meta, 0.1, 3, 20, seed=0)
+        assert raw.shape == (60, 4)
+        assert latent.shape == (60, 16)
+        # one sampling pass: each latent batch is the model's view of its raw batch
+        np.testing.assert_array_equal(latent[20:40], model.latent_batch(raw[20:40]))
