@@ -6,7 +6,7 @@ scored as-is, the normalization statistics of the batch itself doing the
 adaptation work.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .data import (
     GaussianMetaSpec,
@@ -35,8 +35,6 @@ from .scores import (
 )
 from .tasks import (
     MetaDataset,
-    MixtureConfig,
-    TaskBatch,
     build_contaminated_task,
     hoeffding_violation_bound,
     permute_attributes,
@@ -50,10 +48,8 @@ __all__ = [
     "EvalReport",
     "GaussianMetaSpec",
     "MetaDataset",
-    "MixtureConfig",
     "ScoreVector",
     "TabularSource",
-    "TaskBatch",
     "TrainConfig",
     "TrainReport",
     "auroc",

@@ -77,6 +77,19 @@ def _gaussian_spec(cfg: ExperimentConfig) -> GaussianMetaSpec:
     return replace(_preset(cfg.data_preset), **overrides)
 
 
+def _sidecar_train_bins(path: Path) -> int:
+    """How many training bins the JSON sidecar of a CSV file lists."""
+    try:
+        bins = json.loads(path.read_text())["bins"]["train"]
+        if not isinstance(bins, list):
+            raise TypeError(f"bins.train is {type(bins).__name__}, not a list")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"sidecar {path} lists no training bins ({type(exc).__name__}: {exc})"
+        ) from None
+    return len(bins)
+
+
 def build_metasets(cfg: ExperimentConfig):
     """Materialize (train, test) meta-sets from the configured source."""
     if cfg.data_csv:
@@ -84,7 +97,7 @@ def build_metasets(cfg: ExperimentConfig):
         train_bins = cfg.train_bins
         sidecar = csv_path.with_suffix(".json")
         if train_bins is None and sidecar.exists():
-            train_bins = len(json.loads(sidecar.read_text())["bins"]["train"])
+            train_bins = _sidecar_train_bins(sidecar)
         source = TabularSource(
             path=str(csv_path),
             label_col=cfg.label_col,

@@ -4,7 +4,6 @@ train/test splitting helpers."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -215,6 +214,7 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         features[i] = vals
         labels[i] = lab
         bins.append(row[ts_idx] if ts_idx is not None else "")
+    del rows  # the parsed strings outweigh the arrays built below
     if bad_lines:
         shown = ", ".join(str(n) for n in bad_lines[:10])
         more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
@@ -312,12 +312,3 @@ def one_vs_rest_split(labeled_pools: dict[int, np.ndarray], normal_class: int) -
         anomaly_pool=np.concatenate(others, axis=0),
     )
 
-
-def row_digests(meta: MetaDataset) -> set[bytes]:
-    """Hashes of every row, for disjointness checks between pool sets."""
-    out: set[bytes] = set()
-    pools = list(meta.pools) + ([meta.anomaly_pool] if meta.anomaly_pool is not None else [])
-    for pool in pools:
-        for row in pool:
-            out.add(hashlib.blake2b(row.tobytes(), digest_size=16).digest())
-    return out

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, UndefinedMetricError
 from .model import DetectorModel
 from .nn import DTYPE, as_batch
-from .tasks import MetaDataset, MixtureConfig, build_contaminated_task, normal_count
+from .tasks import MetaDataset, build_contaminated_task, normal_count, sample_iteration_tasks
 
 DEFAULT_RATIOS = (0.01, 0.05, 0.1, 0.2)
 
@@ -132,18 +132,14 @@ def collect_latents(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(raw rows, latent rows) of contaminated batches from all pools of
-    ``meta``: the untransformed inputs, the pre-network baseline the
-    diagnostic is compared against, and the model's representation of them.
+    ``meta``, sampled in one call: the untransformed inputs, the pre-network
+    baseline the diagnostic is compared against, and the model's
+    representation of them, each batch normalized on its own.
     """
-    mix = MixtureConfig(pi=1.0 - anomaly_ratio, batch_size=batch_size)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    raw, latent = [], []
-    for i in range(n_batches):
-        j = int(rng.integers(0, meta.k))
-        task = build_contaminated_task(meta, j, mix, rng)
-        raw.append(task.x)
-        latent.append(model.latent_batch(task.x))
-    return np.concatenate(raw, axis=0), np.concatenate(latent, axis=0)
+    x, _y = sample_iteration_tasks(meta, n_batches, 1.0 - anomaly_ratio, batch_size, rng)
+    latent = [model.latent_batch(batch) for batch in x]
+    return x.reshape(-1, meta.dim), np.concatenate(latent, axis=0)
 
 
 # ----- full evaluation protocol ----------------------------------------------
@@ -174,25 +170,21 @@ def evaluate(
 ) -> EvalReport:
     """One-vs-rest evaluation over the test meta-set.
 
-    For every test pool (rotation), anomaly ratio, and run, builds
-    ``batches_per_run`` contaminated batches, scores them, and computes one
-    AUROC per cell from the pooled scores. Cell RNG streams depend only on
-    (seed, ratio index, rotation, run), so results are independent of
-    execution order.
+    For every test pool (rotation), anomaly ratio, and run, samples
+    ``batches_per_run`` contaminated batches in one call, scores each batch
+    on its own, and computes one AUROC per cell from the pooled scores. Cell
+    RNG streams depend only on (seed, ratio index, rotation, run), so results
+    are independent of execution order.
     """
     ratios = check_ratios(ratios, batch_size)
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))
     n_scored = 0
     for (ri, ratio), rotation, run in product(enumerate(ratios), range(meta_test.k), range(runs)):
-        mix = MixtureConfig(pi=1.0 - ratio, batch_size=batch_size)
         rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
-        scores, labels = [], []
-        for _ in range(batches_per_run):
-            task = build_contaminated_task(meta_test, rotation, mix, rng)
-            scores.append(model.score_batch(task.x).s)
-            labels.append(task.y)
-        scores = np.concatenate(scores)
-        cell_auc[ri, rotation, run] = auroc(scores, np.concatenate(labels))
+        js = np.full(batches_per_run, rotation)
+        x, y = build_contaminated_task(meta_test, js, 1.0 - ratio, batch_size, rng)
+        scores = np.concatenate([model.score_batch(batch).s for batch in x])
+        cell_auc[ri, rotation, run] = auroc(scores, y)
         n_scored += len(scores)
 
     per_ratio = {}

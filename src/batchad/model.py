@@ -10,6 +10,7 @@ batch statistics, frozen train-time statistics, and plain affine identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -75,6 +76,23 @@ class Architecture:
         return linear + 2 * norms + latent
 
 
+def check_model_settings(
+    arch: Architecture, head: str, bn_mode: str, bn_mask
+) -> tuple[bool, ...]:
+    """The normalization mask of a model of this shape as booleans (all on
+    when ``bn_mask`` is None); raises ``ValueError`` for an unknown head or
+    ``bn_mode`` or a mask of the wrong length. Builds nothing."""
+    if head not in HEADS:
+        raise ValueError(f"unknown head {head!r}")
+    if bn_mode not in BN_MODES:
+        raise ValueError(f"unknown bn_mode {bn_mode!r}")
+    n_bn = arch.n_bn_positions(head)
+    mask = (True,) * n_bn if bn_mask is None else tuple(bool(m) for m in bn_mask)
+    if len(mask) != n_bn:
+        raise ValueError(f"bn_mask must have {n_bn} entries, got {len(mask)}")
+    return mask
+
+
 class DetectorModel:
     """Layer stack plus head parameters.
 
@@ -94,23 +112,13 @@ class DetectorModel:
         inverse_eps: float = DEFAULT_INVERSE_EPS,
         center_frozen: bool = False,
     ):
-        if head not in HEADS:
-            raise ValueError(f"unknown head {head!r}")
-        if bn_mode not in BN_MODES:
-            raise ValueError(f"unknown bn_mode {bn_mode!r}")
-        n_bn = arch.n_bn_positions(head)
-        if bn_mask is None:
-            bn_mask = (True,) * n_bn
-        bn_mask = tuple(bool(m) for m in bn_mask)
-        if len(bn_mask) != n_bn:
-            raise ValueError(f"bn_mask must have {n_bn} entries, got {len(bn_mask)}")
+        self.bn_mask = check_model_settings(arch, head, bn_mode, bn_mask)
         if rng is None:
             rng = np.random.default_rng(0)
 
         self.arch = arch
         self.head = head
         self.bn_mode = bn_mode
-        self.bn_mask = bn_mask
         self.inverse_eps = float(inverse_eps)
         self.center_frozen = bool(center_frozen)
 
@@ -358,21 +366,21 @@ def load_checkpoint(path) -> DetectorModel:
     if model.bn_mode == BN_FROZEN and listed_stats != stats:
         raise ValueError(f"checkpoint {path} is in frozen mode but lists no statistics")
 
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += n * 8
-        return arr.astype(DTYPE)
-
-    for arr in model.params().values():
-        arr[...] = take(arr.shape)
+    listed = listed_params + listed_stats
+    ends = np.cumsum([math.prod(shape) for _name, shape in listed])
+    if 8 * ends[-1] != len(blob):
+        too = "trailing" if 8 * ends[-1] < len(blob) else "too few"
+        raise ValueError(f"checkpoint {path} has {too} bytes")
+    values = np.frombuffer(blob, dtype="<f8").astype(DTYPE)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        name = listed[np.searchsorted(ends, bad[0], side="right")][0]
+        raise ValueError(f"checkpoint {path} has a non-finite value in {name}")
+    arrays = dict(zip((name for name, _shape in listed), np.split(values, ends[:-1])))
+    for name, arr in model.params().items():
+        arr[...] = arrays[name].reshape(arr.shape)
     if listed_stats:
-        for _name, layer in model.active_norms():
+        for name, layer in model.active_norms():
             for field in STAT_FIELDS:
-                setattr(layer, field, take((layer.dim,)))
-    if offset != len(blob):
-        raise ValueError(f"checkpoint {path} has trailing bytes")
+                setattr(layer, field, arrays[f"{name}.{field}"])
     return model

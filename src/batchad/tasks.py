@@ -8,7 +8,7 @@ up with rows from the other pools, which play the anomaly role for that task.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,16 +18,24 @@ from .nn import DTYPE, as_batch
 
 @dataclass(frozen=True)
 class MetaDataset:
-    """K sample pools sharing one feature dimension.
+    """K sample pools sharing one feature dimension, held in one array.
 
     ``anomaly_pool`` optionally designates an explicit pool of anomalies (used
     by one-vs-rest test splits of labeled data); when absent, anomalies for a
     task are drawn from the union of the other pools.
+
+    Construction copies the K pools, then the anomaly pool, into one float64
+    array ``rows``; ``pools`` and ``anomaly_pool`` become views into it, so no
+    second copy of the data stays alive. Pool j (the anomaly pool is index K)
+    is ``rows[offsets[j]:offsets[j] + sizes[j]]``.
     """
 
     pools: tuple[np.ndarray, ...]
     ids: tuple[int, ...]
     anomaly_pool: np.ndarray | None = None
+    rows: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.pools) < 1:
@@ -36,11 +44,27 @@ class MetaDataset:
             raise ConfigError("ids and pools must have equal length")
         if len(set(self.ids)) != len(self.ids):
             raise ConfigError("pool ids must be unique")
-        dims = {p.shape[1] for p in self.pools}
+        parts = list(self.pools)
         if self.anomaly_pool is not None:
-            dims.add(self.anomaly_pool.shape[1])
+            parts.append(self.anomaly_pool)
+        dims = {p.shape[1] for p in parts}
         if len(dims) != 1:
             raise ConfigError(f"pools disagree on feature dimension: {sorted(dims)}")
+
+        sizes = np.array([len(p) for p in parts])
+        if not sizes.all():
+            raise ConfigError("every pool needs at least one row")
+        offsets = np.cumsum(sizes) - sizes
+        rows = np.concatenate(parts, axis=0, dtype=DTYPE)
+        views = tuple(rows[o:o + n] for o, n in zip(offsets, sizes))
+        for name, value in (
+            ("rows", rows),
+            ("offsets", offsets),
+            ("sizes", sizes),
+            ("pools", views[:len(self.pools)]),
+            ("anomaly_pool", views[-1] if self.anomaly_pool is not None else None),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -48,41 +72,7 @@ class MetaDataset:
 
     @property
     def dim(self) -> int:
-        return self.pools[0].shape[1]
-
-
-@dataclass(frozen=True)
-class TaskBatch:
-    """One contaminated mini-batch with per-row anomaly labels.
-
-    ``y[i] == 0`` iff row i was drawn from the task's own pool; ``source_j``
-    is the positional index of that pool in the meta-set.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    source_j: int
-
-    @property
-    def batch_size(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class MixtureConfig:
-    """Contamination settings: pi is the fraction of the batch that is normal."""
-
-    pi: float
-    batch_size: int
-    tasks_per_iter: int = 1
-
-    def __post_init__(self):
-        if not (0.5 < self.pi <= 1.0):
-            raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be at least 2")
-        if self.tasks_per_iter < 1:
-            raise ConfigError("tasks_per_iter must be at least 1")
+        return self.rows.shape[1]
 
 
 def normal_count(pi: float, batch_size: int) -> int:
@@ -100,49 +90,48 @@ def normal_count(pi: float, batch_size: int) -> int:
 
 
 def build_contaminated_task(
-    meta: MetaDataset, j: int, cfg: MixtureConfig, rng: np.random.Generator
-) -> TaskBatch:
-    """Draw one task batch for pool ``j``: round(pi*B) own rows labeled 0, the
-    rest labeled 1 and drawn from the designated anomaly pool if present,
-    otherwise from the other pools (donor pool chosen uniformly first, then a
-    row within it, so unequal pool sizes still weight donors equally).
+    meta: MetaDataset, js, pi: float, batch_size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one task per source pool in ``js``: a (T, B, D) row stack ``x``
+    and its (T, B) label stack ``y``.
+
+    Task t holds round(pi*B) rows of pool ``js[t]`` labeled 0, the rest
+    labeled 1 and drawn from the designated anomaly pool if present,
+    otherwise from the other pools (donor pool chosen uniformly first, then
+    a row within it, so unequal pool sizes still weight donors equally). The
+    labeled-1 positions of each task are placed uniformly at random. One RNG
+    call draws three uniforms per position: a sort key that places the
+    labels, a donor pick and a row pick (an integer uniform on [0, n) is
+    floor(u * n)); ``x`` is then one gather on ``meta.rows``.
     """
-    if not 0 <= j < meta.k:
-        raise ConfigError(f"pool index {j} out of range for K={meta.k}")
-    b = cfg.batch_size
-    n_norm = normal_count(cfg.pi, b)
-    n_anom = b - n_norm
+    js = np.asarray(js, dtype=np.int64)
+    bad = js[(js < 0) | (js >= meta.k)]
+    if bad.size:
+        raise ConfigError(f"pool index {bad[0]} out of range for K={meta.k}")
+    n_norm = normal_count(pi, batch_size)
+    if n_norm < batch_size and meta.anomaly_pool is None and meta.k < 2:
+        raise ConfigError("pi < 1 needs either a second pool or a designated anomaly pool")
 
-    x = np.empty((b, meta.dim), dtype=DTYPE)
-    y = np.zeros(b, dtype=np.int64)
-    own = meta.pools[j]
-    x[:n_norm] = own[rng.integers(0, len(own), size=n_norm)]
-
-    if n_anom > 0:
-        if meta.anomaly_pool is not None:
-            pool = meta.anomaly_pool
-            x[n_norm:] = pool[rng.integers(0, len(pool), size=n_anom)]
-        else:
-            if meta.k < 2:
-                raise ConfigError(
-                    "pi < 1 needs either a second pool or a designated anomaly pool"
-                )
-            donors = [i for i in range(meta.k) if i != j]
-            for row in range(n_anom):
-                donor = meta.pools[donors[rng.integers(0, len(donors))]]
-                x[n_norm + row] = donor[rng.integers(0, len(donor))]
-        y[n_norm:] = 1
-
-    perm = rng.permutation(b)
-    return TaskBatch(x=x[perm], y=y[perm], source_j=j)
+    keys, donor_u, row_u = rng.random((3, len(js), batch_size))
+    y = keys.argsort(axis=1) >= n_norm
+    own = js[:, None]
+    if meta.anomaly_pool is not None:
+        other = meta.k  # the anomaly pool's index in offsets and sizes
+    else:
+        other = (donor_u * (meta.k - 1)).astype(np.int64)
+        other += other >= own
+    pool = np.where(y, other, own)
+    index = meta.offsets[pool] + (row_u * meta.sizes[pool]).astype(np.int64)
+    return meta.rows[index], y.astype(np.int64)
 
 
 def sample_iteration_tasks(
-    meta: MetaDataset, cfg: MixtureConfig, rng: np.random.Generator
-) -> list[TaskBatch]:
-    """Sample ``tasks_per_iter`` independent tasks, source pools uniform with replacement."""
-    js = rng.integers(0, meta.k, size=cfg.tasks_per_iter)
-    return [build_contaminated_task(meta, int(j), cfg, rng) for j in js]
+    meta: MetaDataset, n_tasks: int, pi: float, batch_size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``n_tasks`` independent tasks, source pools uniform with
+    replacement, as the (x, y) stacks of :func:`build_contaminated_task`."""
+    js = rng.integers(0, meta.k, size=n_tasks)
+    return build_contaminated_task(meta, js, pi, batch_size, rng)
 
 
 def hoeffding_violation_bound(batch_size: int, p: float) -> float:

@@ -1,9 +1,9 @@
 """Meta-training loop: sample contaminated tasks, average their gradients,
 take one optimizer step per iteration.
 
-The tasks of an iteration are sorted by a content-based key and stacked into
-one (tasks, batch, features) array, which is forwarded and backpropagated in
-one pass. Normalization statistics are taken per task, so they never mix
+The tasks of an iteration are sampled as one (tasks, batch, features) stack,
+reordered by a content-based key, and forwarded and backpropagated in one
+pass. Normalization statistics are taken per task, so they never mix
 across tasks; the canonical order makes the parameter update exactly
 invariant to the order in which tasks were sampled within an iteration.
 """
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import Architecture, DetectorModel, HEAD_DSVDD
+from .model import Architecture, DetectorModel, HEAD_DSVDD, check_model_settings
 from .nn import BN_BATCH, BN_FROZEN, BN_IDENTITY, Adam
 from .scores import LOSS_META_OE, LOSSES
-from .tasks import MetaDataset, MixtureConfig, TaskBatch, sample_iteration_tasks
+from .tasks import MetaDataset, sample_iteration_tasks
 
 DIVERGENCE_PATIENCE = 5
 
@@ -62,18 +62,17 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        # batch_size / pi / tasks_per_iter are validated by MixtureConfig, the
-        # head, bn_mode, bn_mask and widths by the model they describe
-        self.mixture()
+        if not 0.5 < self.pi <= 1.0:
+            raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
+        if self.tasks_per_iter < 1:
+            raise ConfigError(f"tasks_per_iter must be at least 1, got {self.tasks_per_iter}")
+        # the model's own check, without building it
         try:
-            self.model(input_dim=1)
+            check_model_settings(self.architecture(1), self.head, self.bn_mode, self.bn_mask)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-
-    def mixture(self) -> MixtureConfig:
-        return MixtureConfig(
-            pi=self.pi, batch_size=self.batch_size, tasks_per_iter=self.tasks_per_iter
-        )
 
     def architecture(self, input_dim: int) -> Architecture:
         return Architecture(
@@ -105,30 +104,33 @@ class TrainReport:
         return self.loss_curve[-1]
 
 
-def _task_key(task: TaskBatch) -> bytes:
-    """Content-based ordering key so gradient reduction ignores sample order."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(task.x.tobytes())
-    h.update(task.y.tobytes())
-    return h.digest()
+def _key_order(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Task indices of the (T, B, D) stack ``x`` and its (T, B) labels ``y``
+    ordered by a hash of each task's rows and labels, so gradient reduction
+    ignores sample order."""
+
+    def key(t: int) -> bytes:
+        return hashlib.blake2b(x[t].tobytes() + y[t].tobytes(), digest_size=16).digest()
+
+    return sorted(range(len(x)), key=key)
 
 
 def average_task_gradients(
     model: DetectorModel,
-    tasks: list[TaskBatch],
+    x: np.ndarray,
+    y: np.ndarray,
     loss_kind: str,
     mode: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and mean gradients over equally sized tasks, in one pass.
+    """Mean loss and mean gradients over the tasks of a (T, B, D) stack ``x``
+    with (T, B) labels ``y``, in one pass.
 
-    The tasks are stacked in a canonical content-based order, each with its
-    own normalization statistics, so the result is bit-identical under any
-    permutation of ``tasks``.
+    The tasks run in a canonical content-based order, each with its own
+    normalization statistics, so the result is bit-identical under any
+    permutation of the T axis.
     """
-    tasks = sorted(tasks, key=_task_key)
-    x = np.stack([task.x for task in tasks])
-    y = np.stack([task.y for task in tasks])
-    return model.loss_and_grads(x, y, loss_kind=loss_kind, mode=mode)
+    order = _key_order(x, y)
+    return model.loss_and_grads(x[order], y[order], loss_kind=loss_kind, mode=mode)
 
 
 def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainReport]:
@@ -149,7 +151,6 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     model = cfg.model(meta.dim, rng=np.random.default_rng(init_ss))
     adam = Adam(model.params(), cfg.learning_rate)
     task_rng = np.random.default_rng(task_ss)
-    mixture = cfg.mixture()
     # identity stays identity during training; frozen trains on batch stats
     train_mode = BN_IDENTITY if cfg.bn_mode == BN_IDENTITY else BN_BATCH
 
@@ -157,8 +158,8 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     bad_streak = 0
     diverged = 0
     for _ in range(cfg.iterations):
-        tasks = sample_iteration_tasks(meta, mixture, task_rng)
-        mean_loss, avg = average_task_gradients(model, tasks, loss_kind=cfg.loss, mode=train_mode)
+        x, y = sample_iteration_tasks(meta, cfg.tasks_per_iter, cfg.pi, cfg.batch_size, task_rng)
+        mean_loss, avg = average_task_gradients(model, x, y, loss_kind=cfg.loss, mode=train_mode)
         losses.append(mean_loss)
 
         if not math.isfinite(mean_loss):
@@ -174,6 +175,6 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
         adam.step(model.params(), avg)
 
     if cfg.bn_mode == BN_FROZEN:
-        model.freeze_batch_stats(max(tasks, key=_task_key).x)
+        model.freeze_batch_stats(x[_key_order(x, y)[-1]])
 
     return model, TrainReport(loss_curve=losses, diverged_iterations=diverged)

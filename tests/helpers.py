@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 # 1e-4 keeps the O(h^2) truncation of the central difference near 1e-6 even
@@ -152,3 +154,13 @@ def toy_two_pool_meta(seed: int = 7, n: int = 2000, separation: float = 4.0):
         rng.normal(separation, 1.0, (n, 1)),
     )
     return MetaDataset(pools=pools, ids=(0, 1))
+
+
+def row_digests(meta) -> set[bytes]:
+    """Hashes of every row, for disjointness checks between pool sets."""
+    out: set[bytes] = set()
+    pools = list(meta.pools) + ([meta.anomaly_pool] if meta.anomaly_pool is not None else [])
+    for pool in pools:
+        for row in pool:
+            out.add(hashlib.blake2b(row.tobytes(), digest_size=16).digest())
+    return out

@@ -217,6 +217,45 @@ class TestEval:
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_is_runtime_error(self, value, tiny_config, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        magic, header, blob = ckpt.read_bytes().split(b"\n", 2)
+        nan = np.array([value], dtype="<f8").tobytes()
+        ckpt.write_bytes(magic + b"\n" + header + b"\n" + nan + blob[8:])
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "lin0.weight" in err
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [b'{"dim": 2}', b'{"bins": {"train": 3}}', b'{"bins": "train"}', b"[]", b'{"bins": {'],
+        ids=["no-bins", "int-train", "string-bins", "list", "invalid-json"],
+    )
+    def test_malformed_sidecar_is_config_error(self, sidecar, tmp_path, capsys):
+        main(["gen-data", "--preset", "gaussian1d", "--out", str(tmp_path)])
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{tmp_path / "metaset.csv"}"\nruns = 1\n')
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(DetectorModel(Architecture(input_dim=1)), ckpt)
+        (tmp_path / "metaset.json").write_bytes(sidecar)
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
+        assert code == 2
+        assert str(tmp_path / "metaset.json") in capsys.readouterr().err
+
+    def test_sidecar_gives_the_training_bins(self, tmp_path, capsys):
+        # 8 training and 4 test bins; only the sidecar tells them apart
+        main(["gen-data", "--preset", "gaussian8", "--out", str(tmp_path)])
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{tmp_path / "metaset.csv"}"\nruns = 1\neval_batches = 2\n')
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(DetectorModel(Architecture(input_dim=8)), ckpt)
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "--config", str(config), "--model", str(ckpt), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["cells"]["0.1"]) == 4
+
     def test_missing_checkpoint(self, tiny_config, tmp_path, capsys):
         code = main(["eval", "--config", str(tiny_config), "--model", str(tmp_path / "no.ckpt")])
         assert code == 2

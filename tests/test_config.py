@@ -1,5 +1,6 @@
 """Experiment config validation and the training settings it carries."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -77,3 +78,14 @@ def test_int_is_accepted_for_a_float_key():
 def test_invalid_toml_is_config_error_naming_the_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_flat_config("seed = 1\nseed = 2\n")
+
+
+def test_validation_builds_no_model():
+    # a 2000 x 2000 weight matrix alone would take 32 MB
+    tracemalloc.start()
+    try:
+        resolve_config({"hidden": [2000, 2000]})
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

@@ -12,10 +12,11 @@ from batchad.data import (
     generate_gaussian_metaset,
     load_tabular,
     one_vs_rest_split,
-    row_digests,
     save_metaset_csv,
 )
 from batchad.errors import ConfigError
+
+from helpers import row_digests
 
 
 class TestGaussianGenerator:

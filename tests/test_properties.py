@@ -3,6 +3,10 @@ rests on: a batch is scored as a set, in the coordinates of its own
 statistics. Then fuzz tests of the input contracts: corrupted checkpoints,
 CSV files and config text fail only with the documented errors."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +182,62 @@ def test_corrupted_csv_exits_with_a_documented_code(fuzz_world, corruption):
         assert eval_exit_code(config, ckpt) in (0, 2, 3)
     finally:
         csv_path.write_bytes(original)
+
+
+def sidecar_eval(fuzz_world, sidecar_bytes: bytes) -> tuple[int, str]:
+    """Exit code and stderr of ``eval`` with the CSV's sidecar replaced by
+    ``sidecar_bytes`` and ``train_bins`` left for the sidecar to give."""
+    config, csv_path, ckpt = fuzz_world
+    sidecar = csv_path.with_suffix(".json")
+    bare = config.with_name("sidecar.toml")
+    bare.write_text(config.read_text().replace("train_bins = 2\n", ""))
+    original = sidecar.read_bytes()
+    err = io.StringIO()
+    try:
+        sidecar.write_bytes(sidecar_bytes)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = eval_exit_code(bare, ckpt)
+    finally:
+        sidecar.write_bytes(original)
+    return code, err.getvalue()
+
+
+@FUZZ_SETTINGS
+@given(corruption=corruptions)
+def test_corrupted_sidecar_is_a_config_error_naming_it(fuzz_world, corruption):
+    # a byte edit cannot change the length of bins.train and keep valid JSON,
+    # so every failure is the sidecar's own
+    sidecar = fuzz_world[1].with_suffix(".json")
+    code, err = sidecar_eval(fuzz_world, corrupt(sidecar.read_bytes(), corruption))
+    assert code in (0, 2)
+    assert code == 0 or str(sidecar) in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@FUZZ_SETTINGS
+@given(where=st.sampled_from(["root", "bins", "train"]), value=json_values)
+def test_mutated_sidecar_fails_only_with_a_documented_code(fuzz_world, where, value):
+    # the whole sidecar, its "bins" or its "bins.train" replaced by any JSON
+    # value; anything but a list of training bins names the sidecar
+    sidecar = fuzz_world[1].with_suffix(".json")
+    doc = json.loads(sidecar.read_text())
+    if where == "root":
+        doc = value
+    elif where == "bins":
+        doc["bins"] = value
+    else:
+        doc["bins"]["train"] = value
+    code, err = sidecar_eval(fuzz_world, json.dumps(doc).encode())
+    assert code in (0, 2)
+    bins = doc.get("bins") if isinstance(doc, dict) else None
+    if not isinstance(bins, dict) or not isinstance(bins.get("train"), list):
+        assert code == 2 and str(sidecar) in err, err
 
 
 # edits of the value side of config lines, mostly digits so that most edits

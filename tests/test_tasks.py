@@ -6,124 +6,193 @@ import pytest
 from batchad.errors import ConfigError
 from batchad.tasks import (
     MetaDataset,
-    MixtureConfig,
     build_contaminated_task,
     hoeffding_violation_bound,
     permute_attributes,
     sample_iteration_tasks,
 )
+from batchad.training import TrainConfig
 
 
-def tagged_meta(k=4, n=100, dim=3):
+def tagged_meta(k=4, n=100, dim=3, sizes=None):
     """Pools whose first feature encodes the pool index, for provenance checks."""
     pools = []
     for j in range(k):
-        pool = np.random.default_rng(j).normal(size=(n, dim))
+        pool = np.random.default_rng(j).normal(size=(sizes[j] if sizes else n, dim))
         pool[:, 0] = j
         pools.append(pool)
     return MetaDataset(pools=tuple(pools), ids=tuple(range(k)))
 
 
+def one_task(meta, j, pi, batch_size, rng):
+    """The (B, D) rows and (B,) labels of a single task for pool ``j``."""
+    x, y = build_contaminated_task(meta, [j], pi, batch_size, rng)
+    return x[0], y[0]
+
+
 class TestMixtureConfig:
+    """The mixture settings (pi, batch size) as ``TrainConfig`` checks them."""
+
     def test_rejects_small_pi(self):
         with pytest.raises(ConfigError):
-            MixtureConfig(pi=0.5, batch_size=10)
+            TrainConfig(pi=0.5, batch_size=10)
 
     def test_rejects_tiny_batch(self):
         with pytest.raises(ConfigError):
-            MixtureConfig(pi=0.8, batch_size=1)
+            TrainConfig(pi=0.8, batch_size=1)
 
     def test_accepts_pure(self):
-        MixtureConfig(pi=1.0, batch_size=2)
+        TrainConfig(pi=1.0, batch_size=2)
+
+
+class TestMetaDataset:
+    def test_pools_are_views_of_one_array(self):
+        base = tagged_meta(k=3)
+        meta = MetaDataset(pools=base.pools, ids=base.ids, anomaly_pool=np.full((7, 3), -1.0))
+        # disjoint slices never overlap, so each view is checked against the
+        # one array they all live in
+        for part in (*meta.pools, meta.anomaly_pool):
+            assert part.base is meta.rows and np.shares_memory(meta.rows, part)
+        assert meta.rows.shape == (307, 3)
+        assert meta.offsets.tolist() == [0, 100, 200, 300]
+        assert meta.sizes.tolist() == [100, 100, 100, 7]
+        for j, pool in enumerate(base.pools):
+            assert np.array_equal(meta.pools[j], pool)
+        assert np.all(meta.anomaly_pool == -1.0)
+
+
+    def test_rejects_an_empty_pool(self):
+        # an empty pool has no row to draw; its offset is the next pool's
+        with pytest.raises(ConfigError, match="at least one row"):
+            MetaDataset(pools=(np.ones((3, 2)), np.ones((0, 2))), ids=(0, 1))
 
 
 class TestBuildContaminatedTask:
     def test_pure_task(self):
         meta = tagged_meta()
-        cfg = MixtureConfig(pi=1.0, batch_size=30)
-        task = build_contaminated_task(meta, 0, cfg, np.random.default_rng(0))
-        assert task.batch_size == 30
-        assert task.y.sum() == 0
-        assert np.all(task.x[:, 0] == 0)
+        x, y = one_task(meta, 0, 1.0, 30, np.random.default_rng(0))
+        assert x.shape == (30, 3)
+        assert y.sum() == 0
+        assert np.all(x[:, 0] == 0)
 
     def test_counts_at_eighty_percent(self):
         meta = tagged_meta()
-        cfg = MixtureConfig(pi=0.8, batch_size=30)
-        task = build_contaminated_task(meta, 1, cfg, np.random.default_rng(0))
-        assert (task.y == 0).sum() == 24
-        assert (task.y == 1).sum() == 6
+        _x, y = one_task(meta, 1, 0.8, 30, np.random.default_rng(0))
+        assert (y == 0).sum() == 24
+        assert (y == 1).sum() == 6
 
     def test_two_pool_complement(self):
         meta = tagged_meta(k=2)
-        cfg = MixtureConfig(pi=0.8, batch_size=30)
-        task = build_contaminated_task(meta, 0, cfg, np.random.default_rng(1))
-        assert np.all(task.x[task.y == 1][:, 0] == 1)
+        x, y = one_task(meta, 0, 0.8, 30, np.random.default_rng(1))
+        assert np.all(x[y == 1][:, 0] == 1)
 
     def test_labels_track_provenance(self):
         meta = tagged_meta(k=5)
-        cfg = MixtureConfig(pi=0.7, batch_size=40)
-        task = build_contaminated_task(meta, 2, cfg, np.random.default_rng(2))
-        assert np.all(task.x[task.y == 0][:, 0] == 2)
-        assert np.all(task.x[task.y == 1][:, 0] != 2)
+        x, y = one_task(meta, 2, 0.7, 40, np.random.default_rng(2))
+        assert np.all(x[y == 0][:, 0] == 2)
+        assert np.all(x[y == 1][:, 0] != 2)
 
     def test_single_pool_needs_pure(self):
         meta = tagged_meta(k=1)
-        cfg = MixtureConfig(pi=0.8, batch_size=10)
         with pytest.raises(ConfigError):
-            build_contaminated_task(meta, 0, cfg, np.random.default_rng(0))
+            one_task(meta, 0, 0.8, 10, np.random.default_rng(0))
+
+    def test_pool_index_out_of_range(self):
+        with pytest.raises(ConfigError, match="pool index 4"):
+            build_contaminated_task(tagged_meta(), [0, 4], 0.8, 10, np.random.default_rng(0))
 
     def test_designated_anomaly_pool_wins(self):
         base = tagged_meta(k=2)
         anom = np.full((50, 3), -1.0)
         meta = MetaDataset(pools=base.pools, ids=base.ids, anomaly_pool=anom)
-        cfg = MixtureConfig(pi=0.8, batch_size=20)
-        task = build_contaminated_task(meta, 0, cfg, np.random.default_rng(3))
-        assert np.all(task.x[task.y == 1][:, 0] == -1.0)
+        x, y = one_task(meta, 0, 0.8, 20, np.random.default_rng(3))
+        assert np.all(x[y == 1][:, 0] == -1.0)
 
     def test_majority_always_holds(self):
         meta = tagged_meta()
         rng = np.random.default_rng(9)
         for pi in (0.51, 0.6, 0.75, 0.9, 0.99):
             for b in (10, 31, 60):
-                cfg = MixtureConfig(pi=pi, batch_size=b)
                 try:
-                    task = build_contaminated_task(meta, 0, cfg, rng)
+                    _x, y = one_task(meta, 0, pi, b, rng)
                 except ConfigError:
                     # rounding would have broken the majority; rejected upfront
                     assert round(pi * b) * 2 <= b
                     continue
-                assert (task.y == 0).sum() == round(pi * b)
-                assert (task.y == 0).sum() > b / 2
+                assert (y == 0).sum() == round(pi * b)
+                assert (y == 0).sum() > b / 2
 
     def test_seeded_reproducibility(self):
         meta = tagged_meta()
-        cfg = MixtureConfig(pi=0.8, batch_size=30)
-        t1 = build_contaminated_task(meta, 1, cfg, np.random.default_rng(42))
-        t2 = build_contaminated_task(meta, 1, cfg, np.random.default_rng(42))
-        assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.y, t2.y)
+        x1, y1 = one_task(meta, 1, 0.8, 30, np.random.default_rng(42))
+        x2, y2 = one_task(meta, 1, 0.8, 30, np.random.default_rng(42))
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+
+class TestStackedSampler:
+    def test_every_task_has_the_exact_normal_count(self):
+        meta = tagged_meta(k=5)
+        for pi, b in ((0.8, 60), (0.95, 60), (0.7, 31), (0.99, 11)):
+            _x, y = build_contaminated_task(meta, np.arange(200) % 5, pi, b, np.random.default_rng(4))
+            assert y.shape == (200, b)
+            assert np.all((y == 0).sum(axis=1) == round(pi * b))
+
+    def test_contaminants_never_come_from_the_own_pool(self):
+        meta = tagged_meta(k=4)
+        js = np.arange(400) % 4
+        x, y = build_contaminated_task(meta, js, 0.7, 40, np.random.default_rng(6))
+        source = x[..., 0]
+        own = js[:, None]
+        assert np.all((source == own) == (y == 0))
+
+    def test_anomaly_pool_supplies_every_contaminant(self):
+        base = tagged_meta(k=3)
+        meta = MetaDataset(pools=base.pools, ids=base.ids, anomaly_pool=np.full((9, 3), -1.0))
+        js = np.arange(300) % 3
+        x, y = build_contaminated_task(meta, js, 0.8, 20, np.random.default_rng(8))
+        assert np.all(x[y == 1][:, 0] == -1.0)
+        assert np.all(x[y == 0][:, 0] == np.broadcast_to(js[:, None], y.shape)[y == 0])
+
+    def test_donor_pools_weighted_equally_despite_unequal_sizes(self):
+        # pool 0 draws contaminants from pools 1-3 of 10, 100 and 1000 rows;
+        # donors are picked before rows, so each supplies a third. 60000
+        # contaminants give a binomial std of 115 per count; the tolerance,
+        # fixed beforehand, is 1000 (8.7 std), and row-weighted sampling
+        # would put pool 1 near 540 and pool 3 near 54000.
+        meta = tagged_meta(k=4, sizes=[50, 10, 100, 1000])
+        x, y = build_contaminated_task(meta, np.zeros(3000, dtype=int), 0.8, 100, np.random.default_rng(11))
+        counts = np.bincount(x[y == 1][:, 0].astype(int), minlength=4)
+        assert counts[0] == 0
+        assert counts.sum() == 60000
+        assert np.all(np.abs(counts[1:] - 20000) <= 1000), counts
+
+    def test_rows_come_from_within_each_pool(self):
+        # every row of every pool is reachable and nothing outside the pools is
+        meta = tagged_meta(k=2, n=5, dim=2)
+        x, _y = build_contaminated_task(meta, [0, 1] * 100, 0.8, 10, np.random.default_rng(2))
+        seen = {row.tobytes() for row in x.reshape(-1, 2)}
+        assert seen == {row.tobytes() for row in meta.rows}
 
 
 class TestSampleIterationTasks:
     def test_singleton(self):
         meta = tagged_meta()
-        cfg = MixtureConfig(pi=1.0, batch_size=5, tasks_per_iter=1)
-        assert len(sample_iteration_tasks(meta, cfg, np.random.default_rng(0))) == 1
+        x, y = sample_iteration_tasks(meta, 1, 1.0, 5, np.random.default_rng(0))
+        assert x.shape == (1, 5, 3) and y.shape == (1, 5)
 
     def test_sources_cover_pool_range(self):
         meta = tagged_meta(k=5)
-        cfg = MixtureConfig(pi=0.8, batch_size=10, tasks_per_iter=32)
-        tasks = sample_iteration_tasks(meta, cfg, np.random.default_rng(0))
-        assert len(tasks) == 32
-        assert {t.source_j for t in tasks} <= set(range(5))
+        x, y = sample_iteration_tasks(meta, 32, 0.8, 10, np.random.default_rng(0))
+        assert len(x) == 32
+        sources = {int(task[labels == 0][0, 0]) for task, labels in zip(x, y)}
+        assert sources <= set(range(5))
 
     def test_seeded_sequence_identical(self):
         meta = tagged_meta()
-        cfg = MixtureConfig(pi=0.8, batch_size=12, tasks_per_iter=6)
-        a = sample_iteration_tasks(meta, cfg, np.random.default_rng(5))
-        b = sample_iteration_tasks(meta, cfg, np.random.default_rng(5))
-        for ta, tb in zip(a, b):
-            assert ta.source_j == tb.source_j
-            assert np.array_equal(ta.x, tb.x)
+        xa, ya = sample_iteration_tasks(meta, 6, 0.8, 12, np.random.default_rng(5))
+        xb, yb = sample_iteration_tasks(meta, 6, 0.8, 12, np.random.default_rng(5))
+        assert np.array_equal(xa, xb)
+        assert np.array_equal(ya, yb)
 
 
 class TestHoeffdingBound:

@@ -8,10 +8,10 @@ import pytest
 from batchad.errors import ConfigError, DivergenceError
 from batchad.model import load_checkpoint, save_checkpoint
 from batchad.scores import ScoreVector, meta_oe_loss, one_class_loss
-from batchad.tasks import MetaDataset, MixtureConfig, sample_iteration_tasks
+from batchad.tasks import MetaDataset, sample_iteration_tasks
 from batchad.training import (
     TrainConfig,
-    _task_key,
+    _key_order,
     average_task_gradients,
     no_bn_trivial_loss_value,
     train,
@@ -163,12 +163,11 @@ class TestTaskOrderInvariance:
         meta = toy_two_pool_meta(n=400)
         cfg = small_cfg(tasks_per_iter=6)
         model, _ = train(meta, small_cfg(iterations=2))
-        mixture = MixtureConfig(pi=0.8, batch_size=16, tasks_per_iter=6)
-        tasks = sample_iteration_tasks(meta, mixture, np.random.default_rng(77))
+        x, y = sample_iteration_tasks(meta, 6, 0.8, 16, np.random.default_rng(77))
 
-        loss_a, grads_a = average_task_gradients(model, tasks, "meta_oe", "batch")
-        shuffled = [tasks[i] for i in np.random.default_rng(1).permutation(len(tasks))]
-        loss_b, grads_b = average_task_gradients(model, shuffled, "meta_oe", "batch")
+        loss_a, grads_a = average_task_gradients(model, x, y, "meta_oe", "batch")
+        perm = np.random.default_rng(1).permutation(len(x))
+        loss_b, grads_b = average_task_gradients(model, x[perm], y[perm], "meta_oe", "batch")
 
         assert loss_a == loss_b
         for name in grads_a:
@@ -179,20 +178,19 @@ class TestStackedReduction:
     def setup_iteration(self, tasks_per_iter=5):
         meta = toy_two_pool_meta(n=400)
         model, _ = train(meta, small_cfg(iterations=3))
-        mixture = MixtureConfig(pi=0.8, batch_size=16, tasks_per_iter=tasks_per_iter)
-        return model, sample_iteration_tasks(meta, mixture, np.random.default_rng(5))
+        return model, *sample_iteration_tasks(meta, tasks_per_iter, 0.8, 16, np.random.default_rng(5))
 
     def test_matches_mean_of_per_task_passes(self):
-        model, tasks = self.setup_iteration()
-        loss, grads = average_task_gradients(model, tasks, "meta_oe", "batch")
-        per_task = [model.loss_and_grads(t.x, t.y, loss_kind="meta_oe") for t in tasks]
-        ref_loss = sum(l for l, _ in per_task) / len(tasks)
+        model, x, y = self.setup_iteration()
+        loss, grads = average_task_gradients(model, x, y, "meta_oe", "batch")
+        per_task = [model.loss_and_grads(xt, yt, loss_kind="meta_oe") for xt, yt in zip(x, y)]
+        ref_loss = sum(l for l, _ in per_task) / len(x)
         assert abs(loss - ref_loss) <= 1e-15 * abs(ref_loss)
         # absolute floor: the gradients of biases ahead of a normalization
         # layer are analytically zero and agree only to rounding
         scale = max(np.abs(g).max() for g in grads.values())
         for name, g in grads.items():
-            ref = sum(pt[1][name] for pt in per_task) / len(tasks)
+            ref = sum(pt[1][name] for pt in per_task) / len(x)
             assert np.abs(g - ref).max() <= 1e-12 * scale, name
 
     def test_records_last_task_in_key_order(self):
@@ -203,9 +201,9 @@ class TestStackedReduction:
         model, _ = train(meta, cfg)
         task_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
         for _ in range(cfg.iterations):
-            tasks = sample_iteration_tasks(meta, cfg.mixture(), task_rng)
+            x, y = sample_iteration_tasks(meta, cfg.tasks_per_iter, cfg.pi, cfg.batch_size, task_rng)
         frozen = [(bn.frozen_mean, bn.frozen_var) for _n, bn in model.active_norms()]
-        model.freeze_batch_stats(max(tasks, key=_task_key).x)
+        model.freeze_batch_stats(x[_key_order(x, y)[-1]])
         for (_n, bn), (mean, var) in zip(model.active_norms(), frozen):
             assert np.array_equal(mean, bn.frozen_mean)
             assert np.array_equal(var, bn.frozen_var)
@@ -275,6 +273,16 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(small_cfg(bn_mode="frozen").model(input_dim=1), path)
         with pytest.raises(ValueError, match="frozen mode but lists no statistics"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("position, name", [(0, "lin0.weight"), (-1, "center")])
+    def test_non_finite_value_is_rejected_naming_its_array(self, tmp_path, position, name):
+        path = self.saved(tmp_path)
+        magic, header, blob = path.read_bytes().split(b"\n", 2)
+        values = np.frombuffer(blob, dtype="<f8").copy()
+        values[position] = np.inf
+        path.write_bytes(magic + b"\n" + header + b"\n" + values.tobytes())
+        with pytest.raises(ValueError, match=f"non-finite value in {name}"):
             load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
