@@ -14,7 +14,6 @@ from .data import (
     augment_with_permutations,
     generate_gaussian_metaset,
     load_tabular,
-    one_vs_rest_split,
     save_metaset_csv,
 )
 from .evaluation import (
@@ -67,7 +66,6 @@ __all__ = [
     "naive_bn_score",
     "no_bn_trivial_loss_value",
     "one_class_loss",
-    "one_vs_rest_split",
     "permute_attributes",
     "sample_iteration_tasks",
     "save_checkpoint",

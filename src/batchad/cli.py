@@ -200,6 +200,8 @@ def cmd_eval(args) -> int:
     train_meta, test_meta = build_metasets(cfg)
     if test_meta is None:
         raise ConfigError("the configured data source has no test side")
+    if test_meta.k < 2 and test_meta.anomaly_pool is None:
+        raise ConfigError("the test side needs a second pool or an anomaly pool for evaluation")
     started = time.perf_counter()
     report = _evaluate(model, test_meta, cfg)
     # shift diagnostic: train-mixture vs unseen-test gap, in latent space and raw

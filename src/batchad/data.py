@@ -297,18 +297,3 @@ def augment_with_permutations(meta: MetaDataset, n_perms: int, seed: int) -> Met
             ids.append(next_id)
             next_id += 1
     return MetaDataset(pools=tuple(pools), ids=tuple(ids), anomaly_pool=meta.anomaly_pool)
-
-
-def one_vs_rest_split(labeled_pools: dict[int, np.ndarray], normal_class: int) -> MetaDataset:
-    """Test split where one class is normal and all others form the anomaly pool."""
-    if normal_class not in labeled_pools:
-        raise ConfigError(f"class {normal_class} not present")
-    others = [np.asarray(p, dtype=DTYPE) for c, p in sorted(labeled_pools.items()) if c != normal_class]
-    if not others:
-        raise ConfigError("one-vs-rest needs at least two classes")
-    return MetaDataset(
-        pools=(np.asarray(labeled_pools[normal_class], dtype=DTYPE),),
-        ids=(normal_class,),
-        anomaly_pool=np.concatenate(others, axis=0),
-    )
-

@@ -100,6 +100,10 @@ class DetectorModel:
     layers; ``bn_mask`` switches individual positions to affine identity
     (the layer-position ablation). Scoring never mutates the model, so a
     trained instance can be shared across concurrent workers.
+
+    Once the layers have drawn their initial values, every parameter array
+    becomes a view into one float64 vector ``theta``, in manifest order;
+    ``layout`` holds each array's ``(name, start, stop, shape)`` in it.
     """
 
     def __init__(
@@ -137,25 +141,34 @@ class DetectorModel:
             blocks.append(("bn_out", "bn", BatchNorm(arch.latent_dim)))
         self.blocks = blocks
 
-        self.center = (
-            np.zeros(arch.latent_dim, dtype=DTYPE) if head == HEAD_DSVDD else None
+        self.center = np.zeros(arch.latent_dim, dtype=DTYPE) if head == HEAD_DSVDD else None
+
+        owners = [
+            (layer, attr, f"{name}.{attr}")
+            for name, _kind, layer in blocks
+            if layer is not None
+            for attr in layer.PARAMS
+        ]
+        if self.center is not None:
+            owners.append((self, "center", "center"))
+        arrays = [getattr(owner, attr) for owner, attr, _name in owners]
+        stops = np.cumsum([arr.size for arr in arrays]).tolist()
+        self.layout = tuple(
+            (name, stop - arr.size, stop, arr.shape)
+            for (_owner, _attr, name), arr, stop in zip(owners, arrays, stops)
         )
+        self.theta = np.concatenate([arr.ravel() for arr in arrays])
+        for (owner, attr, _name), view in zip(owners, self.params().values()):
+            setattr(owner, attr, view)
 
     # ----- parameters ------------------------------------------------------
 
-    def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, kind, layer in self.blocks:
-            if kind == "relu":
-                continue
-            for pname, arr in layer.param_items():
-                out[f"{name}.{pname}"] = arr
-        if self.center is not None:
-            out["center"] = self.center
-        return out
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice, by name, of a vector laid out like ``theta``."""
+        return {name: vec[start:stop].reshape(shape) for name, start, stop, shape in self.layout}
 
-    def zero_grads_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params().items()}
+    def params(self) -> dict[str, np.ndarray]:
+        return self.views(self.theta)
 
     # ----- forward / backward ----------------------------------------------
 
@@ -215,8 +228,9 @@ class DetectorModel:
         loss_kind: str = LOSS_META_OE,
         mode: str | None = None,
     ):
-        """Loss value plus gradients w.r.t. every parameter, for one batch or
-        a stack of equally sized batches.
+        """Loss value plus the flat gradient vector w.r.t. ``theta`` (name its
+        slices with :meth:`views`), for one batch or a stack of equally sized
+        batches.
 
         The loss is :func:`meta_oe_loss` of the head's scores; ``one_class``
         is that objective with every row labeled normal. It is the mean over
@@ -233,13 +247,14 @@ class DetectorModel:
         scores = self._scores(out)
         loss = meta_oe_loss(scores, y)
 
-        grads = self.zero_grads_like()
+        grad_theta = np.zeros_like(self.theta)
+        grads = self.views(grad_theta)
         if self.head == HEAD_DSVDD:
             diff = out - self.center
             dl_ds = ((1.0 - y) - y / (scores.s + self.inverse_eps) ** 2) / b
             g_out = 2.0 * dl_ds[:, None] * diff
             if not self.center_frozen:
-                grads["center"] = -2.0 * (dl_ds[:, None] * diff).sum(axis=0)
+                grads["center"][...] = -2.0 * (dl_ds[:, None] * diff).sum(axis=0)
         else:
             t = out[:, 0]
             sig_pos = 1.0 / (1.0 + np.exp(-np.clip(t, -700, 700)))
@@ -250,11 +265,9 @@ class DetectorModel:
         for (name, kind, layer), cache in zip(reversed(self.blocks), reversed(tape)):
             if kind == "relu":
                 grad = relu_backward(grad, cache)
-                continue
-            grad, layer_grads = layer.backward(grad, cache)
-            for pname, g in layer_grads.items():
-                grads[f"{name}.{pname}"] = g
-        return loss, grads
+            else:
+                grad = layer.backward(grad, cache, *(grads[f"{name}.{p}"] for p in layer.PARAMS))
+        return loss, grad_theta
 
     # ----- frozen statistics -----------------------------------------------
 
@@ -283,7 +296,7 @@ class DetectorModel:
 def _manifest(model: DetectorModel) -> tuple[list, list]:
     """The ``[name, shape]`` lists a checkpoint of ``model`` carries: every
     parameter, and both statistics of each active normalization layer."""
-    params = [[name, list(arr.shape)] for name, arr in model.params().items()]
+    params = [[name, list(shape)] for name, _start, _stop, shape in model.layout]
     stats = [
         [f"{name}.{field}", [layer.dim]]
         for name, layer in model.active_norms()
@@ -297,11 +310,12 @@ def save_checkpoint(model: DetectorModel, path) -> None:
 
     Layout: magic line, one JSON header line (sorted keys) listing the
     architecture and an ordered array manifest, then the raw array bytes in
-    manifest order, little-endian float64, C order. Round-trips bit-exactly.
-    Frozen statistics are written only when every active layer has them.
+    manifest order, little-endian float64, C order: the parameter vector
+    ``theta``, then the statistics. Round-trips bit-exactly. Frozen
+    statistics are written only when every active layer has them.
     """
     params, stats = _manifest(model)
-    arrays = list(model.params().values())
+    arrays = [model.theta]
     if model.has_frozen_stats():
         arrays += [getattr(layer, f) for _n, layer in model.active_norms() for f in STAT_FIELDS]
     else:
@@ -320,8 +334,7 @@ def save_checkpoint(model: DetectorModel, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         fh.write(b"\n")
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.concatenate(arrays, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> DetectorModel:
@@ -331,10 +344,11 @@ def load_checkpoint(path) -> DetectorModel:
     with open(path, "rb") as fh:
         if fh.readline() != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        header = json.loads(fh.readline().decode())
+        header_line = fh.readline()
         blob = fh.read()
 
     try:
+        header = json.loads(header_line.decode())
         arch = Architecture(**{**header["arch"], "hidden": tuple(header["arch"]["hidden"])})
         # refuse before allocating: the header may describe a model far larger
         # than the file, e.g. after a bit flip in a width
@@ -376,11 +390,10 @@ def load_checkpoint(path) -> DetectorModel:
     if bad.size:
         name = listed[np.searchsorted(ends, bad[0], side="right")][0]
         raise ValueError(f"checkpoint {path} has a non-finite value in {name}")
-    arrays = dict(zip((name for name, _shape in listed), np.split(values, ends[:-1])))
-    for name, arr in model.params().items():
-        arr[...] = arrays[name].reshape(arr.shape)
+    model.theta[...] = values[:model.theta.size]
     if listed_stats:
-        for name, layer in model.active_norms():
+        stat_values = iter(np.split(values, ends[:-1])[len(listed_params):])
+        for _name, layer in model.active_norms():
             for field in STAT_FIELDS:
-                setattr(layer, field, arrays[f"{name}.{field}"])
+                setattr(layer, field, next(stat_values))
     return model

@@ -8,7 +8,9 @@ along the row axis (``axis=-2``), so a stack computes exactly what a loop over
 its batches would; parameter gradients are summed over every row of the stack.
 Forward passes return an ``(output, cache)`` pair; the cache is call-local
 and no forward or backward pass mutates a layer, so a trained model can score
-concurrent batches.
+concurrent batches. A layer names its parameter attributes in ``PARAMS``; its
+backward pass returns the input gradient and writes the parameter gradients
+into the arrays it is given (views of one flat gradient vector, in a model).
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def as_batch(x, stacked: bool = False) -> np.ndarray:
     return arr
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
+def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Column sums over the row axis (per batch of a stack), shape
     (..., features); a ones-vector product runs faster than ``sum(axis=-2)``."""
-    return np.ones(a.shape[-2], dtype=DTYPE) @ a
+    return np.matmul(np.ones(a.shape[-2], dtype=DTYPE), a, out=out)
 
 
 class Linear:
@@ -48,6 +50,8 @@ class Linear:
     Weights are initialized uniformly in +-sqrt(6 / (fan_in + fan_out)),
     biases at zero.
     """
+
+    PARAMS = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -65,14 +69,13 @@ class Linear:
         rows = x.reshape(-1, self.in_dim) @ self.weight.T + self.bias
         return rows.reshape(*x.shape[:-1], self.out_dim), x
 
-    def backward(self, grad: np.ndarray, cache):
+    def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray, g_bias: np.ndarray):
+        """Input gradient; writes the parameter gradients into ``g_weight``, ``g_bias``."""
         x = cache.reshape(-1, self.in_dim)
         rows = grad.reshape(-1, self.out_dim)
-        grads = {"weight": rows.T @ x, "bias": _row_sums(rows)}
-        return (rows @ self.weight).reshape(cache.shape), grads
-
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
+        np.matmul(rows.T, x, out=g_weight)
+        _row_sums(rows, out=g_bias)
+        return (rows @ self.weight).reshape(cache.shape)
 
 
 class BatchNorm:
@@ -94,6 +97,8 @@ class BatchNorm:
     A batch-mode cache carries the batch's mean and variance, which is where
     the trainer reads the frozen statistics from.
     """
+
+    PARAMS = ("gamma", "beta")
 
     def __init__(self, dim: int, eps: float = 1e-5):
         if eps <= 0:
@@ -130,27 +135,22 @@ class BatchNorm:
             return self.gamma * x + self.beta, (BN_IDENTITY, x, None)
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
-    def backward(self, grad: np.ndarray, cache):
+    def backward(self, grad: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray):
+        """Input gradient; writes the parameter gradients into ``g_gamma``, ``g_beta``."""
         mode, xhat, inv = cache[:3]
         # per-batch sums; the parameter gradients add them over the stack
         g_sum = _row_sums(grad)[..., None, :]
         gx_sum = np.einsum("...ij,...ij->...j", grad, xhat)[..., None, :]
-        grads = {
-            "gamma": gx_sum.reshape(-1, self.dim).sum(axis=0),
-            "beta": g_sum.reshape(-1, self.dim).sum(axis=0),
-        }
+        gx_sum.reshape(-1, self.dim).sum(axis=0, out=g_gamma)
+        g_sum.reshape(-1, self.dim).sum(axis=0, out=g_beta)
         if mode == BN_BATCH:
             # mean and variance depend on every row of the batch: full
             # batch-coupled Jacobian
             b = grad.shape[-2]
-            gx = (self.gamma * inv / b) * (b * grad - g_sum - xhat * gx_sum)
-            return gx, grads
+            return (self.gamma * inv / b) * (b * grad - g_sum - xhat * gx_sum)
         if mode == BN_FROZEN:
-            return grad * self.gamma * inv, grads
-        return grad * self.gamma, grads
-
-    def param_items(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
+            return grad * self.gamma * inv
+        return grad * self.gamma
 
 
 def relu_forward(x: np.ndarray):
@@ -163,38 +163,34 @@ def relu_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction over a fixed, ordered set of parameters."""
+    """Adam with bias correction: one elementwise step per gradient updates the
+    flat parameter vector ``theta`` in place."""
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        theta: np.ndarray,
         learning_rate: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
+        self.theta = theta
         self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._order = list(params)
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.theta.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match {self.theta.shape}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name in self._order:
-            g = grads[name]
-            p = params[name]
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        self.theta -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)

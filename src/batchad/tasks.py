@@ -20,9 +20,9 @@ from .nn import DTYPE, as_batch
 class MetaDataset:
     """K sample pools sharing one feature dimension, held in one array.
 
-    ``anomaly_pool`` optionally designates an explicit pool of anomalies (used
-    by one-vs-rest test splits of labeled data); when absent, anomalies for a
-    task are drawn from the union of the other pools.
+    ``anomaly_pool`` optionally designates an explicit pool of anomalies (the
+    rows a CSV labels anomalous); when absent, anomalies for a task are drawn
+    from the union of the other pools.
 
     Construction copies the K pools, then the anomaly pool, into one float64
     array ``rows``; ``pools`` and ``anomaly_pool`` become views into it, so no

@@ -20,7 +20,7 @@ from .errors import ConfigError, DivergenceError
 from .model import Architecture, DetectorModel, HEAD_DSVDD, check_model_settings
 from .nn import BN_BATCH, BN_FROZEN, BN_IDENTITY, Adam
 from .scores import LOSS_META_OE, LOSSES
-from .tasks import MetaDataset, sample_iteration_tasks
+from .tasks import MetaDataset, normal_count, sample_iteration_tasks
 
 DIVERGENCE_PATIENCE = 5
 
@@ -66,6 +66,7 @@ class TrainConfig:
             raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
+        normal_count(self.pi, self.batch_size)
         if self.tasks_per_iter < 1:
             raise ConfigError(f"tasks_per_iter must be at least 1, got {self.tasks_per_iter}")
         # the model's own check, without building it
@@ -121,9 +122,9 @@ def average_task_gradients(
     y: np.ndarray,
     loss_kind: str,
     mode: str,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and mean gradients over the tasks of a (T, B, D) stack ``x``
-    with (T, B) labels ``y``, in one pass.
+) -> tuple[float, np.ndarray]:
+    """Mean loss and mean flat gradient vector over the tasks of a (T, B, D)
+    stack ``x`` with (T, B) labels ``y``, in one pass.
 
     The tasks run in a canonical content-based order, each with its own
     normalization statistics, so the result is bit-identical under any
@@ -139,9 +140,12 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     Per iteration: sample ``tasks_per_iter`` contaminated tasks, forward and
     backprop them as one stack (each task with its own normalization
     statistics), average the losses and gradients over the tasks, and apply
-    one Adam step. A ``frozen`` model then freezes the statistics of the
-    last task, in content-key order, of the final iteration under the final
-    parameters.
+    one Adam step to the parameter vector. An iteration whose loss or
+    gradient is not finite skips the step and counts as diverged;
+    ``DIVERGENCE_PATIENCE`` such iterations in a row raise
+    :class:`DivergenceError`. A ``frozen`` model then freezes the statistics
+    of the last task, in content-key order, of the final iteration under the
+    final parameters.
     """
     if cfg.pi < 1.0 and meta.k < 2 and meta.anomaly_pool is None:
         raise ConfigError("pi < 1 needs at least two pools in the meta-set")
@@ -149,7 +153,7 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     root = np.random.SeedSequence(cfg.seed)
     init_ss, task_ss = root.spawn(2)
     model = cfg.model(meta.dim, rng=np.random.default_rng(init_ss))
-    adam = Adam(model.params(), cfg.learning_rate)
+    adam = Adam(model.theta, cfg.learning_rate)
     task_rng = np.random.default_rng(task_ss)
     # identity stays identity during training; frozen trains on batch stats
     train_mode = BN_IDENTITY if cfg.bn_mode == BN_IDENTITY else BN_BATCH
@@ -159,20 +163,20 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     diverged = 0
     for _ in range(cfg.iterations):
         x, y = sample_iteration_tasks(meta, cfg.tasks_per_iter, cfg.pi, cfg.batch_size, task_rng)
-        mean_loss, avg = average_task_gradients(model, x, y, loss_kind=cfg.loss, mode=train_mode)
+        mean_loss, grad = average_task_gradients(model, x, y, loss_kind=cfg.loss, mode=train_mode)
         losses.append(mean_loss)
 
-        if not math.isfinite(mean_loss):
+        if not (math.isfinite(mean_loss) and np.isfinite(grad).all()):
             bad_streak += 1
             diverged += 1
             if bad_streak >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(
-                    f"loss non-finite for {bad_streak} consecutive iterations "
-                    f"(last={mean_loss!r}, iteration={len(losses)})"
+                    f"loss or gradient non-finite for {bad_streak} consecutive iterations "
+                    f"(last loss={mean_loss!r}, iteration={len(losses)})"
                 )
             continue
         bad_streak = 0
-        adam.step(model.params(), avg)
+        adam.step(grad)
 
     if cfg.bn_mode == BN_FROZEN:
         model.freeze_batch_stats(x[_key_order(x, y)[-1]])

@@ -76,7 +76,7 @@ def test_a01_gradient_correctness():
     checked = 0
     for seed in range(12):
         model, x, y = smooth_random_instance(seed)
-        _, grads = model.loss_and_grads(x, y)
+        grads = model.views(model.loss_and_grads(x, y)[1])
         params = model.params()
         numeric = numeric_grad(lambda: model.loss_and_grads(x, y)[0], list(params.values()))
         worst = max(
@@ -86,7 +86,7 @@ def test_a01_gradient_correctness():
         checked += 1
     for seed in range(6):
         model, x, y = smooth_random_instance(100 + seed, head="bce")
-        _, grads = model.loss_and_grads(x, y)
+        grads = model.views(model.loss_and_grads(x, y)[1])
         params = model.params()
         numeric = numeric_grad(lambda: model.loss_and_grads(x, y)[0], list(params.values()))
         worst = max(
@@ -96,7 +96,7 @@ def test_a01_gradient_correctness():
         checked += 1
     for seed in range(4):
         model, x, y = smooth_random_instance(200 + seed)
-        _, grads = model.loss_and_grads(x, y, loss_kind="one_class")
+        grads = model.views(model.loss_and_grads(x, y, loss_kind="one_class")[1])
         params = model.params()
         numeric = numeric_grad(
             lambda: model.loss_and_grads(x, y, loss_kind="one_class")[0],

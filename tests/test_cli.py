@@ -256,6 +256,18 @@ class TestEval:
         assert main(["eval", "--config", str(config), "--model", str(ckpt), "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["cells"]["0.1"]) == 4
 
+    def test_one_pool_test_side_is_config_error_naming_it(self, tmp_path, capsys):
+        # gaussian1d holds one test pool and no anomaly-labeled rows
+        main(["gen-data", "--preset", "gaussian1d", "--out", str(tmp_path)])
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{tmp_path / "metaset.csv"}"\nruns = 1\n')
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(DetectorModel(Architecture(input_dim=1)), ckpt)
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "test side" in err and "anomaly pool" in err
+
     def test_missing_checkpoint(self, tiny_config, tmp_path, capsys):
         code = main(["eval", "--config", str(tiny_config), "--model", str(tmp_path / "no.ckpt")])
         assert code == 2

@@ -31,13 +31,14 @@ from batchad.training import TrainConfig
         ({"within_scale": float("nan")}, "'within_scale' must be finite, got nan"),
         ({"ratios": [0.1, float("-inf")]}, "'ratios' must be finite"),
         ({"delimiter": ""}, "delimiter must be one character, got ''"),
+        ({"pi": 0.51, "batch_size": 10}, "pi=0.51 with batch_size=10 does not give a normal"),
     ],
     ids=[
         "head", "pi", "iterations", "ratio", "ratio-rounds-to-zero",
         "iterations-type", "seed-type", "runs-type", "ratios-empty",
         "int-for-bool", "bool-for-float", "list-item", "inline-table",
         "nan-learning-rate", "inf-mean-scale", "nan-within-scale", "inf-ratio",
-        "empty-delimiter",
+        "empty-delimiter", "pi-batch-majority",
     ],
 )
 def test_bad_value_is_config_error_naming_it(values, named, tmp_path):

@@ -11,7 +11,6 @@ from batchad.data import (
     fit_standardizer,
     generate_gaussian_metaset,
     load_tabular,
-    one_vs_rest_split,
     save_metaset_csv,
 )
 from batchad.errors import ConfigError
@@ -229,31 +228,3 @@ class TestAugmentWithPermutations:
         meta = generate_gaussian_metaset(spec, seed=0)[0]
         out = augment_with_permutations(meta, 1, seed=0)
         assert np.array_equal(out.pools[0], out.pools[2])
-
-
-class TestOneVsRest:
-    def pools(self):
-        return {c: np.full((10, 2), float(c)) for c in range(5)}
-
-    def test_definition(self):
-        meta = one_vs_rest_split(self.pools(), normal_class=2)
-        assert meta.k == 1
-        assert np.all(meta.pools[0] == 2.0)
-        assert set(meta.anomaly_pool[:, 0]) == {0.0, 1.0, 3.0, 4.0}
-
-    def test_two_classes(self):
-        meta = one_vs_rest_split({0: np.zeros((5, 1)), 1: np.ones((5, 1))}, 0)
-        assert np.all(meta.anomaly_pool == 1.0)
-
-    def test_rotation_yields_disjoint_normals(self):
-        pools = self.pools()
-        seen = []
-        for c in pools:
-            meta = one_vs_rest_split(pools, c)
-            seen.append(meta.ids[0])
-            assert meta.anomaly_pool.shape[0] == 40
-        assert sorted(seen) == list(range(5))
-
-    def test_missing_class(self):
-        with pytest.raises(ConfigError):
-            one_vs_rest_split(self.pools(), normal_class=9)

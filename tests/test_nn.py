@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batchad.errors import BatchTooSmallError
-from batchad.model import Architecture, DetectorModel
+from batchad.model import Architecture, DetectorModel, _manifest
 from batchad.nn import Adam, BatchNorm, Linear, relu_backward, relu_forward
 
 from helpers import REL_TOL, max_rel_error, numeric_grad, smooth_random_instance
@@ -19,6 +19,13 @@ def seeds_and_stack(n: int):
     return [pytest.param(s, None, id=str(s)) for s in range(n)] + [
         pytest.param(n, STACKED_TASKS, id="stacked")
     ]
+
+
+def backward(layer, grad, cache):
+    """A standalone layer's backward pass: (input gradient, parameter
+    gradients by attribute name)."""
+    grads = {p: np.zeros_like(getattr(layer, p)) for p in layer.PARAMS}
+    return layer.backward(grad, cache, *grads.values()), grads
 
 
 def make_linear(weight, bias):
@@ -137,7 +144,7 @@ class TestBackwardGradients:
         lin = make_linear(np.eye(3), np.zeros(3))
         _, cache = lin.forward(np.ones((2, 3)))
         g = np.arange(6.0).reshape(2, 3)
-        gx, _ = lin.backward(g, cache)
+        gx, _ = backward(lin, g, cache)
         np.testing.assert_allclose(gx, g)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -151,7 +158,7 @@ class TestBackwardGradients:
             return float((lin.forward(x)[0] * proj).sum())
 
         out, cache = lin.forward(x)
-        gx, grads = lin.backward(proj, cache)
+        gx, grads = backward(lin, proj, cache)
         n_w, n_b, n_x = numeric_grad(loss, [lin.weight, lin.bias, x])
         assert max_rel_error(grads["weight"], n_w) <= REL_TOL
         assert max_rel_error(grads["bias"], n_b) <= REL_TOL
@@ -173,7 +180,7 @@ class TestBackwardGradients:
             return float((bn.forward(x)[0] * proj).sum())
 
         _, cache = bn.forward(x)
-        gx, grads = bn.backward(proj, cache)
+        gx, grads = backward(bn, proj, cache)
         n_g, n_b, n_x = numeric_grad(loss, [bn.gamma, bn.beta, x])
         assert max_rel_error(grads["gamma"], n_g) <= REL_TOL
         assert max_rel_error(grads["beta"], n_b) <= REL_TOL
@@ -189,7 +196,7 @@ class TestFullNetworkGradients:
     @pytest.mark.parametrize("seed, tasks", seeds_and_stack(8))
     def test_dsvdd_meta_oe(self, seed, tasks):
         model, x, y = smooth_random_instance(seed, tasks=tasks)
-        _, grads = model.loss_and_grads(x, y)
+        grads = model.views(model.loss_and_grads(x, y)[1])
 
         params = model.params()
 
@@ -203,7 +210,7 @@ class TestFullNetworkGradients:
     @pytest.mark.parametrize("seed, tasks", seeds_and_stack(4))
     def test_bce_meta_oe(self, seed, tasks):
         model, x, y = smooth_random_instance(seed + 50, head="bce", tasks=tasks)
-        _, grads = model.loss_and_grads(x, y)
+        grads = model.views(model.loss_and_grads(x, y)[1])
         params = model.params()
 
         def loss():
@@ -217,7 +224,7 @@ class TestFullNetworkGradients:
     def test_one_class_and_identity_mode(self, seed):
         mode = "identity" if seed % 2 else "batch"
         model, x, y = smooth_random_instance(seed + 90, mode=mode)
-        _, grads = model.loss_and_grads(x, y, loss_kind="one_class", mode=mode)
+        grads = model.views(model.loss_and_grads(x, y, loss_kind="one_class", mode=mode)[1])
         params = model.params()
 
         def loss():
@@ -230,30 +237,72 @@ class TestFullNetworkGradients:
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        p = {"w": np.array([1.0, -2.0])}
-        opt = Adam(p, learning_rate=0.1)
-        opt.step(p, {"w": np.zeros(2)})
-        np.testing.assert_allclose(p["w"], [1.0, -2.0])
+        theta = np.array([1.0, -2.0])
+        opt = Adam(theta, learning_rate=0.1)
+        opt.step(np.zeros(2))
+        np.testing.assert_allclose(theta, [1.0, -2.0])
 
     def test_constant_gradient_descends(self):
-        p = {"w": np.array([0.0])}
-        opt = Adam(p, learning_rate=0.01)
+        theta = np.array([0.0])
+        opt = Adam(theta, learning_rate=0.01)
         for _ in range(50):
-            opt.step(p, {"w": np.array([2.5])})
-        assert p["w"][0] < 0.0
+            opt.step(np.array([2.5]))
+        assert theta[0] < 0.0
 
     def test_first_step_magnitude(self):
         # bias-corrected first step with g=1 moves by almost exactly -lr
-        p = {"w": np.array([0.0])}
-        opt = Adam(p, learning_rate=0.1)
-        opt.step(p, {"w": np.array([1.0])})
-        np.testing.assert_allclose(p["w"][0], -0.1, atol=1e-8)
+        theta = np.array([0.0])
+        opt = Adam(theta, learning_rate=0.1)
+        opt.step(np.array([1.0]))
+        np.testing.assert_allclose(theta[0], -0.1, atol=1e-8)
 
     def test_shape_mismatch(self):
-        p = {"w": np.zeros(3)}
-        opt = Adam(p, learning_rate=0.1)
+        theta = np.zeros(3)
+        opt = Adam(theta, learning_rate=0.1)
         with pytest.raises(ValueError):
-            opt.step(p, {"w": np.zeros(4)})
+            opt.step(np.zeros(4))
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize(
+        "head, input_bn", [("dsvdd", False), ("bce", False), ("dsvdd", True)]
+    )
+    def test_params_are_views_of_theta_in_manifest_order(self, head, input_bn):
+        arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4, input_bn=input_bn)
+        model = DetectorModel(arch, head=head)
+        params = model.params()
+        for name, arr in params.items():
+            assert np.shares_memory(arr, model.theta), name
+        assert [[name, list(shape)] for name, *_span, shape in model.layout] == _manifest(model)[0]
+        assert list(params) == [name for name, *_rest in model.layout]
+        # the layout tiles theta without gaps, and every layer attribute is its view
+        assert [start for _n, start, _stop, _s in model.layout] == [
+            0, *(stop for _n, _start, stop, _s in model.layout[:-1])
+        ]
+        assert model.layout[-1][2] == model.theta.size == arch.n_params(head)
+        layers = {name: layer for name, _kind, layer in model.blocks}
+        for name, arr in params.items():
+            block, _, attr = name.rpartition(".")
+            owner = layers[block] if block else model
+            assert np.shares_memory(getattr(owner, attr), arr), name
+
+    def test_initial_values_follow_the_layer_draws(self):
+        # binding the views keeps the RNG order: the first linear layer's
+        # weights are the first draws of the model's generator
+        arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4)
+        model = DetectorModel(arch, rng=np.random.default_rng(7))
+        lin0 = Linear(3, 6, np.random.default_rng(7))
+        assert np.array_equal(model.params()["lin0.weight"], lin0.weight)
+
+    def test_gradient_views_name_the_same_slices(self):
+        model, x, y = smooth_random_instance(3)
+        _, grad = model.loss_and_grads(x, y)
+        assert grad.shape == model.theta.shape
+        views = model.views(grad)
+        assert list(views) == list(model.params())
+        for name, start, stop, shape in model.layout:
+            assert views[name].shape == shape
+            assert np.array_equal(views[name].ravel(), grad[start:stop])
 
 
 class TestDeterminism:

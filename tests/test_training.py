@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from batchad.errors import ConfigError, DivergenceError
-from batchad.model import load_checkpoint, save_checkpoint
+from batchad.model import CHECKPOINT_MAGIC, STAT_FIELDS, load_checkpoint, save_checkpoint
 from batchad.scores import ScoreVector, meta_oe_loss, one_class_loss
 from batchad.tasks import MetaDataset, sample_iteration_tasks
+from batchad import training
 from batchad.training import (
+    DIVERGENCE_PATIENCE,
     TrainConfig,
     _key_order,
     average_task_gradients,
@@ -131,6 +133,41 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             train(meta, small_cfg(iterations=20, bn_mode="identity"))
 
+    @staticmethod
+    def nan_gradient_on(monkeypatch, iterations):
+        """Make ``average_task_gradients`` return a NaN gradient, with its
+        finite loss, on the given 0-based iterations."""
+        seen = []
+
+        def patched(*args, **kwargs):
+            loss, grad = average_task_gradients(*args, **kwargs)
+            if len(seen) in iterations:
+                grad[0] = np.nan
+            seen.append(loss)
+            return loss, grad
+
+        monkeypatch.setattr(training, "average_task_gradients", patched)
+
+    def test_non_finite_gradient_skips_the_step(self, monkeypatch):
+        meta = toy_two_pool_meta(n=300)
+        before = train(meta, small_cfg(iterations=7))[0].theta
+        self.nan_gradient_on(monkeypatch, {7})
+        model, report = train(meta, small_cfg(iterations=8))
+        assert report.diverged_iterations == 1
+        assert np.isfinite(model.theta).all()
+        # the last iteration's step was skipped, not taken
+        assert np.array_equal(model.theta, before)
+
+    def test_non_finite_gradients_in_a_row_abort(self, monkeypatch):
+        meta = toy_two_pool_meta(n=300)
+        self.nan_gradient_on(monkeypatch, set(range(2, 1 + DIVERGENCE_PATIENCE)))
+        model, report = train(meta, small_cfg(iterations=10))
+        assert report.diverged_iterations == DIVERGENCE_PATIENCE - 1
+        assert np.isfinite(model.theta).all()
+        self.nan_gradient_on(monkeypatch, set(range(2, 2 + DIVERGENCE_PATIENCE)))
+        with pytest.raises(DivergenceError, match="gradient"):
+            train(meta, small_cfg(iterations=10))
+
     def test_frozen_mode_records_statistics(self):
         meta = toy_two_pool_meta(n=300)
         model, _ = train(meta, small_cfg(bn_mode="frozen"))
@@ -165,9 +202,10 @@ class TestTaskOrderInvariance:
         model, _ = train(meta, small_cfg(iterations=2))
         x, y = sample_iteration_tasks(meta, 6, 0.8, 16, np.random.default_rng(77))
 
-        loss_a, grads_a = average_task_gradients(model, x, y, "meta_oe", "batch")
+        loss_a, grad_a = average_task_gradients(model, x, y, "meta_oe", "batch")
         perm = np.random.default_rng(1).permutation(len(x))
-        loss_b, grads_b = average_task_gradients(model, x[perm], y[perm], "meta_oe", "batch")
+        loss_b, grad_b = average_task_gradients(model, x[perm], y[perm], "meta_oe", "batch")
+        grads_a, grads_b = model.views(grad_a), model.views(grad_b)
 
         assert loss_a == loss_b
         for name in grads_a:
@@ -182,8 +220,10 @@ class TestStackedReduction:
 
     def test_matches_mean_of_per_task_passes(self):
         model, x, y = self.setup_iteration()
-        loss, grads = average_task_gradients(model, x, y, "meta_oe", "batch")
+        loss, grad = average_task_gradients(model, x, y, "meta_oe", "batch")
+        grads = model.views(grad)
         per_task = [model.loss_and_grads(xt, yt, loss_kind="meta_oe") for xt, yt in zip(x, y)]
+        per_task = [(l, model.views(g)) for l, g in per_task]
         ref_loss = sum(l for l, _ in per_task) / len(x)
         assert abs(loss - ref_loss) <= 1e-15 * abs(ref_loss)
         # absolute floor: the gradients of biases ahead of a normalization
@@ -290,3 +330,18 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+        # a header line that is not JSON, or not UTF-8, names the file
+        for header in (b"{not json", b"\xff\xfe"):
+            path.write_bytes(CHECKPOINT_MAGIC + header + b"\n" + bytes(8))
+            with pytest.raises(ValueError, match="malformed header") as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value)
+
+    def test_body_is_theta_then_statistics(self, tmp_path):
+        model, _ = train(toy_two_pool_meta(n=300), small_cfg(bn_mode="frozen"))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        _magic, _header, body = path.read_bytes().split(b"\n", 2)
+        stats = [getattr(bn, f) for _n, bn in model.active_norms() for f in STAT_FIELDS]
+        assert body == b"".join(a.astype("<f8").tobytes() for a in [model.theta, *stats])
+        assert np.array_equal(load_checkpoint(path).theta, model.theta)
