@@ -67,16 +67,6 @@ def _preset(name: str) -> GaussianMetaSpec:
     return GAUSSIAN_PRESETS[name]
 
 
-def _gaussian_spec(cfg: ExperimentConfig) -> GaussianMetaSpec:
-    """The configured preset with every synthetic override the config sets."""
-    overrides = {
-        f.name: getattr(cfg, f.name)
-        for f in fields(GaussianMetaSpec)
-        if getattr(cfg, f.name) is not None
-    }
-    return replace(_preset(cfg.data_preset), **overrides)
-
-
 def _sidecar_train_bins(path: Path) -> int:
     """How many training bins the JSON sidecar of a CSV file lists."""
     try:
@@ -107,7 +97,14 @@ def build_metasets(cfg: ExperimentConfig):
         )
         train_meta, test_meta = load_tabular(source)
     else:
-        train_meta, test_meta = generate_gaussian_metaset(_gaussian_spec(cfg), cfg.data_seed)
+        # the configured preset with every synthetic override the config sets
+        overrides = {
+            f.name: getattr(cfg, f.name)
+            for f in fields(GaussianMetaSpec)
+            if getattr(cfg, f.name) is not None
+        }
+        spec = replace(_preset(cfg.data_preset), **overrides)
+        train_meta, test_meta = generate_gaussian_metaset(spec, cfg.data_seed)
     if cfg.permutations > 0:
         train_meta = augment_with_permutations(train_meta, cfg.permutations, cfg.data_seed + 1)
     return train_meta, test_meta
@@ -124,6 +121,14 @@ def _evaluate(model, test_meta, cfg: ExperimentConfig):
         batch_size=cfg.eval_batch_size,
         batches_per_run=cfg.eval_batches,
     )
+
+
+def _check_side(meta, side: str, use: str) -> None:
+    """Reject a meta-set side that ``use`` cannot draw contaminated batches from."""
+    if meta is None:
+        raise ConfigError(f"the configured data source has no {side} side")
+    if not meta.can_contaminate:
+        raise ConfigError(f"the {side} side needs a second pool or an anomaly pool for {use}")
 
 
 def _append_record(path, record: dict) -> None:
@@ -198,10 +203,9 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     model = load_checkpoint(args.model)
     train_meta, test_meta = build_metasets(cfg)
-    if test_meta is None:
-        raise ConfigError("the configured data source has no test side")
-    if test_meta.k < 2 and test_meta.anomaly_pool is None:
-        raise ConfigError("the test side needs a second pool or an anomaly pool for evaluation")
+    _check_side(test_meta, "test", "evaluation")
+    if cfg.pi < 1.0:  # the shift diagnostic samples the training mixture at 1 - pi
+        _check_side(train_meta, "training", f"the shift diagnostic at pi = {cfg.pi}")
     started = time.perf_counter()
     report = _evaluate(model, test_meta, cfg)
     # shift diagnostic: train-mixture vs unseen-test gap, in latent space and raw
@@ -239,93 +243,91 @@ def cmd_eval(args) -> int:
 ABLATE_SUITES = ("bn-mode", "batch-size", "num-classes", "pi", "loss-variant", "bn-position")
 
 
-def _ablate_cells(suite: str, cfg: ExperimentConfig):
-    """Yield (cell description, training-setting replacements) for a suite."""
-    if suite == "bn-mode":
-        for mode in ("batch", "frozen", "identity"):
-            yield {"bn_mode": mode}, {"bn_mode": mode}
-    elif suite == "pi":
-        for pi in (0.6, 0.8, 0.9, 0.95, 0.99):
-            yield {"pi": pi}, {"pi": pi}
-    elif suite == "loss-variant":
-        # the plain one-class objective is trained on uncontaminated tasks
-        yield {"loss": "meta_oe", "pi": cfg.pi}, {"loss": "meta_oe"}
-        yield {"loss": "one_class", "pi": 1.0}, {"loss": "one_class", "pi": 1.0}
-    elif suite == "bn-position":
-        n = cfg.architecture(1).n_bn_positions(cfg.head)
-        for pos in range(n):
-            mask = tuple(int(i == pos) for i in range(n))
-            yield {"bn_position": pos, "bn_mask": list(mask)}, {"bn_mask": mask}
-        yield {"bn_position": "all", "bn_mask": [1] * n}, {"bn_mask": (1,) * n}
-
-
-def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    rows = []
-    records = []
-    if args.suite == "batch-size":
+def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
+    """Per model to train, a group (training config, train meta-set, test
+    meta-set, cells); a cell is (description, evaluation config). Building
+    the plan builds, and so validates, every config of the suite."""
+    if suite == "batch-size":
         # single trained model, swept over scoring batch sizes; tiny batches
         # hold exactly one anomaly, larger ones a 10% admixture
-        train_meta, test_meta = build_metasets(cfg)
-        model, _ = train(train_meta, cfg)
+        cells = []
         for b in (3, 6, 11, 16, 20, 40, 60):
-            started = time.perf_counter()
             ratio = 1.0 / b if b < 20 else 0.1
-            report = _evaluate(model, test_meta, replace(cfg, eval_batch_size=b, ratios=(ratio,)))
-            mean, std = report.per_ratio[ratio]
             cell = {"batch_size": b, "anomaly_ratio": ratio}
-            rows.append([b, f"{ratio:.3f}", _fmt_auc(mean, std)])
-            records.append((cell, mean, std, time.perf_counter() - started))
-        headers = ["batch_size", "anomaly_ratio", "auroc"]
-    elif args.suite == "num-classes":
-        headers = ["train_classes", "auroc"]
+            cells.append((cell, replace(cfg, eval_batch_size=b, ratios=(ratio,))))
+        return [(cfg, *build_metasets(cfg), cells)]
+
+    # every other suite trains one model per cell
+    if suite == "bn-mode":
+        cells = [{"bn_mode": mode} for mode in ("batch", "frozen", "identity")]
+    elif suite == "pi":
+        cells = [{"pi": pi} for pi in (0.6, 0.8, 0.9, 0.95, 0.99)]
+    elif suite == "loss-variant":
+        # the plain one-class objective is trained on uncontaminated tasks
+        cells = [{"loss": "meta_oe", "pi": cfg.pi}, {"loss": "one_class", "pi": 1.0}]
+    elif suite == "bn-position":  # each position alone, then all of them
+        n = cfg.architecture(1).n_bn_positions(cfg.head)
+        masks = [tuple(int(i == p) for i in range(n)) for p in range(n)] + [(1,) * n]
+        cells = [{"bn_position": p if p < n else "all", "bn_mask": m} for p, m in enumerate(masks)]
+    if suite == "num-classes":
+        # each cell draws its own synthetic pools, which a CSV or permuted copies cannot follow
+        for key in ("data_csv", "permutations"):
+            if getattr(cfg, key):
+                raise ConfigError(f"the num-classes suite draws its own pools; unset {key}")
+        models = []
         for k in (1, 2, 4, 8):
-            started = time.perf_counter()
-            spec = replace(_gaussian_spec(cfg), train_distributions=max(k, 2))
-            train_meta, test_meta = generate_gaussian_metaset(spec, cfg.data_seed)
-            cell_cfg = replace(cfg, ratios=(0.1,))
+            train_meta, test_meta = build_metasets(replace(cfg, train_distributions=max(k, 2)))
             if k == 1:
                 # a single pool has an empty complement; train uncontaminated
                 train_meta = type(train_meta)(
                     pools=train_meta.pools[:1], ids=train_meta.ids[:1]
                 )
-                cell_cfg = replace(cell_cfg, pi=1.0)
-            model, _ = train(train_meta, cell_cfg)
-            report = _evaluate(model, test_meta, cell_cfg)
-            mean, std = report.per_ratio[0.1]
-            cell = {"train_classes": k, "pi": cell_cfg.pi}
-            rows.append([k, _fmt_auc(mean, std)])
-            records.append((cell, mean, std, time.perf_counter() - started))
+            cell = {"train_classes": k, "pi": 1.0 if k == 1 else cfg.pi}
+            models.append((cell, train_meta, test_meta))
     else:
-        train_meta, test_meta = build_metasets(cfg)
-        headers = ["cell", "auroc"]
-        for cell, replacements in _ablate_cells(args.suite, cfg):
-            started = time.perf_counter()
-            cell_cfg = replace(cfg, ratios=(0.1,), **replacements)
-            model, _ = train(train_meta, cell_cfg)
-            report = _evaluate(model, test_meta, cell_cfg)
-            mean, std = report.per_ratio[0.1]
-            rows.append([json.dumps(cell, sort_keys=True), _fmt_auc(mean, std)])
-            records.append((cell, mean, std, time.perf_counter() - started))
+        metas = build_metasets(cfg)
+        models = [(cell, *metas) for cell in cells]
+    groups = []
+    for cell, train_meta, test_meta in models:
+        # the cell's entries that name config keys are its training settings
+        settings = {key: value for key, value in cell.items() if hasattr(cfg, key)}
+        cell_cfg = replace(cfg, ratios=(0.1,), **settings)
+        groups.append((cell_cfg, train_meta, test_meta, [(cell, cell_cfg)]))
+    return groups
 
-    for cell, mean, std, wall in records:
-        record = _record_skeleton("ablate-cell", cfg)
-        record.update(
-            {
-                "suite": args.suite,
-                "cell": cell,
-                "seed": cfg.seed,
-                "auroc_mean": mean,
-                "auroc_std": std,
-                "wall_clock_s": wall,
-            }
-        )
-        if args.out:
-            _append_record(args.out, record)
+
+def cmd_ablate(args) -> int:
+    cfg = _load_config(args)
+    plan = _ablate_plan(args.suite, cfg)
+    for _, _, test_meta, _ in plan:
+        _check_side(test_meta, "test", "evaluation")
+    rows = []
+    started = time.perf_counter()
+    for train_cfg, train_meta, test_meta, cells in plan:
+        model, _ = train(train_meta, train_cfg)
+        for cell, eval_cfg in cells:
+            report = _evaluate(model, test_meta, eval_cfg)
+            mean, std = report.per_ratio[eval_cfg.ratios[0]]
+            rows.append([json.dumps(cell, sort_keys=True), _fmt_auc(mean, std)])
+            record = _record_skeleton("ablate-cell", cfg)
+            record.update(
+                {
+                    "suite": args.suite,
+                    "cell": cell,
+                    "seed": cfg.seed,
+                    "auroc_mean": mean,
+                    "auroc_std": std,
+                    # a group's first cell also carries the group's training
+                    "wall_clock_s": time.perf_counter() - started,
+                }
+            )
+            if args.out:
+                _append_record(args.out, record)
+            started = time.perf_counter()
     print(f"suite: {args.suite}")
-    _print_table(headers, rows)
+    _print_table(["cell", "auroc"], rows)
     if args.out:
-        print(f"appended {len(records)} records to {args.out}")
+        print(f"appended {len(rows)} records to {args.out}")
     return 0
 
 

@@ -77,14 +77,9 @@ def _format_value(x: float) -> str:
 
 
 def save_metaset_csv(
-    train: MetaDataset,
-    test: MetaDataset,
-    out_dir,
-    seed: int,
-    name: str = "metaset",
-    delimiter: str = ",",
+    train: MetaDataset, test: MetaDataset, out_dir, seed: int
 ) -> tuple[Path, Path]:
-    """Write both pool sets into one CSV plus a JSON sidecar.
+    """Write both pool sets into ``metaset.csv`` plus a ``metaset.json`` sidecar.
 
     Columns: ``bin`` (the pool id, doubling as the timestamp key), ``label``
     (always 0 for generated pools), then ``f0..f{d-1}``. Output bytes depend
@@ -94,9 +89,9 @@ def save_metaset_csv(
     out_dir.mkdir(parents=True, exist_ok=True)
     d = train.dim
     feature_cols = [f"f{k}" for k in range(d)]
-    csv_path = out_dir / f"{name}.csv"
+    csv_path = out_dir / "metaset.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["bin", "label"] + feature_cols)
         for meta in (train, test):
             for pool_id, pool in zip(meta.ids, meta.pools):
@@ -118,7 +113,7 @@ def save_metaset_csv(
             for pid, pool in zip(meta.ids, meta.pools)
         },
     }
-    json_path = out_dir / f"{name}.json"
+    json_path = out_dir / "metaset.json"
     with open(json_path, "w") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -166,19 +166,13 @@ class Adam:
     """Adam with bias correction: one elementwise step per gradient updates the
     flat parameter vector ``theta`` in place."""
 
-    def __init__(
-        self,
-        theta: np.ndarray,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, theta: np.ndarray, learning_rate: float):
         self.theta = theta
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -187,10 +181,10 @@ class Adam:
         if grad.shape != self.theta.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match {self.theta.shape}")
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        self.theta -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * grad
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * grad * grad
+        self.theta -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + self.EPS)

@@ -74,6 +74,11 @@ class MetaDataset:
     def dim(self) -> int:
         return self.rows.shape[1]
 
+    @property
+    def can_contaminate(self) -> bool:
+        """Whether tasks can draw anomalies: from a second pool or an anomaly pool."""
+        return self.k > 1 or self.anomaly_pool is not None
+
 
 def normal_count(pi: float, batch_size: int) -> int:
     """Deterministic per-batch count of normal rows: round(pi * B).
@@ -109,7 +114,7 @@ def build_contaminated_task(
     if bad.size:
         raise ConfigError(f"pool index {bad[0]} out of range for K={meta.k}")
     n_norm = normal_count(pi, batch_size)
-    if n_norm < batch_size and meta.anomaly_pool is None and meta.k < 2:
+    if n_norm < batch_size and not meta.can_contaminate:
         raise ConfigError("pi < 1 needs either a second pool or a designated anomaly pool")
 
     keys, donor_u, row_u = rng.random((3, len(js), batch_size))

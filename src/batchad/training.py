@@ -147,9 +147,6 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     of the last task, in content-key order, of the final iteration under the
     final parameters.
     """
-    if cfg.pi < 1.0 and meta.k < 2 and meta.anomaly_pool is None:
-        raise ConfigError("pi < 1 needs at least two pools in the meta-set")
-
     root = np.random.SeedSequence(cfg.seed)
     init_ss, task_ss = root.spawn(2)
     model = cfg.model(meta.dim, rng=np.random.default_rng(init_ss))

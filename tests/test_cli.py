@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from batchad.cli import main
+import batchad.cli
+from batchad.cli import ABLATE_SUITES, main
 from batchad.model import Architecture, DetectorModel, save_checkpoint
 
 TINY_CONFIG = """\
@@ -34,6 +35,20 @@ def tiny_config(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text(TINY_CONFIG)
     return path
+
+
+def spy_on(monkeypatch, name):
+    """Replace ``batchad.cli.<name>`` with a wrapper that records each call's
+    arguments and then runs the original; return the list of calls."""
+    calls = []
+    original = getattr(batchad.cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(batchad.cli, name, spy)
+    return calls
 
 
 class TestGenData:
@@ -268,6 +283,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert "test side" in err and "anomaly pool" in err
 
+    def test_one_pool_training_side_fails_before_evaluating(self, tmp_path, monkeypatch, capsys):
+        # one training bin: enough for a pi = 1.0 model, but the shift
+        # diagnostic samples the training side at the eval config's pi = 0.8
+        main(["gen-data", "--preset", "gaussian8", "--out", str(tmp_path)])
+        base = (
+            f'data_csv = "{tmp_path / "metaset.csv"}"\ntrain_bins = 1\n'
+            "iterations = 2\nhidden = [4]\nlatent_dim = 2\nruns = 1\neval_batches = 2\n"
+        )
+        (tmp_path / "train.toml").write_text(base + "pi = 1.0\n")
+        (tmp_path / "eval.toml").write_text(base)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tmp_path / "train.toml"), "--out", str(ckpt)]) == 0
+        calls = spy_on(monkeypatch, "evaluate")
+        code = main(["eval", "--config", str(tmp_path / "eval.toml"), "--model", str(ckpt)])
+        assert code == 2
+        assert "training side" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_checkpoint(self, tiny_config, tmp_path, capsys):
         code = main(["eval", "--config", str(tiny_config), "--model", str(tmp_path / "no.ckpt")])
         assert code == 2
@@ -352,3 +385,39 @@ class TestAblate:
         assert [r["cell"]["train_classes"] for r in records] == [1, 2, 4, 8]
         # a single training pool has no complement to contaminate from
         assert records[0]["cell"]["pi"] == 1.0
+
+    @pytest.mark.parametrize("suite, models", [("batch-size", 1), ("pi", 5)])
+    def test_one_training_per_group(self, suite, models, tiny_config, monkeypatch, capsys):
+        # batch-size scores one model at seven batch sizes; pi trains one per cell
+        calls = spy_on(monkeypatch, "train")
+        assert main(["ablate", "--suite", suite, "--config", str(tiny_config)]) == 0
+        assert len(calls) == models
+
+    @pytest.mark.parametrize("suite", ABLATE_SUITES)
+    def test_every_suite_prints_one_cell_column(self, suite, tiny_config, capsys):
+        assert main(["ablate", "--suite", suite, "--config", str(tiny_config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["cell", "auroc"]
+        assert isinstance(json.loads(lines[3].rsplit("  ", 1)[0]), dict)
+
+    def test_test_side_checked_before_training(self, tmp_path, monkeypatch, capsys):
+        # gaussian1d holds two training pools but one test pool and no anomalies
+        main(["gen-data", "--preset", "gaussian1d", "--out", str(tmp_path)])
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{tmp_path / "metaset.csv"}"\niterations = 3\nruns = 1\n')
+        calls = spy_on(monkeypatch, "train")
+        code = main(["ablate", "--suite", "pi", "--config", str(config)])
+        assert code == 2
+        assert "test side" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("line", ['data_csv = "elsewhere.csv"', "permutations = 1"])
+    def test_num_classes_refuses_what_it_would_ignore(self, line, tmp_path, monkeypatch, capsys):
+        # the suite draws its own synthetic pools for every cell
+        config = tmp_path / "exp.toml"
+        config.write_text(TINY_CONFIG + line + "\n")
+        calls = spy_on(monkeypatch, "train")
+        code = main(["ablate", "--suite", "num-classes", "--config", str(config)])
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert calls == []

@@ -66,6 +66,12 @@ class TestMetaDataset:
         with pytest.raises(ConfigError, match="at least one row"):
             MetaDataset(pools=(np.ones((3, 2)), np.ones((0, 2))), ids=(0, 1))
 
+    def test_can_contaminate_from_a_second_pool_or_an_anomaly_pool(self):
+        one = np.ones((3, 2))
+        assert not MetaDataset(pools=(one,), ids=(0,)).can_contaminate
+        assert MetaDataset(pools=(one, one), ids=(0, 1)).can_contaminate
+        assert MetaDataset(pools=(one,), ids=(0,), anomaly_pool=one).can_contaminate
+
 
 class TestBuildContaminatedTask:
     def test_pure_task(self):
