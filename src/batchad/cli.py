@@ -131,6 +131,12 @@ def _check_side(meta, side: str, use: str) -> None:
         raise ConfigError(f"the {side} side needs a second pool or an anomaly pool for {use}")
 
 
+def _check_training_side(meta, cfg) -> None:
+    """Reject a training side that cannot contaminate the tasks ``cfg`` trains on."""
+    if cfg.pi < 1.0:
+        _check_side(meta, "training", f"contaminated training at pi = {cfg.pi}")
+
+
 def _append_record(path, record: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -173,6 +179,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     train_meta, _ = build_metasets(cfg)
+    _check_training_side(train_meta, cfg)
     started = time.perf_counter()
     model, report = train(train_meta, cfg)
     out = Path(args.out)
@@ -299,7 +306,8 @@ def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     plan = _ablate_plan(args.suite, cfg)
-    for _, _, test_meta, _ in plan:
+    for train_cfg, train_meta, test_meta, _ in plan:
+        _check_training_side(train_meta, train_cfg)
         _check_side(test_meta, "test", "evaluation")
     rows = []
     started = time.perf_counter()

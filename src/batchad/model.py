@@ -175,12 +175,19 @@ class DetectorModel:
     def _bn_behavior(self, bn_index: int, mode: str) -> str:
         return mode if self.bn_mask[bn_index] else BN_IDENTITY
 
-    def forward(self, x: np.ndarray, mode: str | None = None):
+    def forward(self, x: np.ndarray, mode: str | None = None, tape: list | None = None):
         """Run the full stack on a (batch, features) batch or a (tasks, batch,
-        features) stack. Returns (head output, latent, tape).
+        features) stack. Returns (head output, latent).
 
         ``latent`` is the activation after the last normalization position,
         the representation the generalization diagnostic inspects.
+
+        Given a list as ``tape``, appends each block's cache to it, in block
+        order, for a backward pass; without one no cache is kept, so each
+        activation is freed as soon as the next one exists. ``x`` is never
+        written: every ReLU zeroes, in place, the normalization output made
+        just before it in this call (the latent is copied first when a ReLU
+        follows it).
         """
         x = as_batch(x, stacked=True)
         if x.shape[-1] != self.arch.input_dim:
@@ -188,7 +195,6 @@ class DetectorModel:
                 f"model expects {self.arch.input_dim} features, got {x.shape[-1]}"
             )
         mode = self.bn_mode if mode is None else mode
-        tape = []
         latent = None
         bn_i = 0
         for _name, kind, layer in self.blocks:
@@ -199,11 +205,14 @@ class DetectorModel:
                 latent = x
                 bn_i += 1
             else:
+                if bn_i == len(self.bn_mask):  # this ReLU would zero the latent
+                    latent = x.copy()
                 x, cache = relu_forward(x)
-            tape.append(cache)
+            if tape is not None:
+                tape.append(cache)
         if latent is None:
             latent = x
-        return x, latent, tape
+        return x, latent
 
     def _scores(self, out: np.ndarray) -> ScoreVector:
         """The head's score pair for a (rows, outputs) network output."""
@@ -214,11 +223,11 @@ class DetectorModel:
     def score_batch(self, x: np.ndarray) -> ScoreVector:
         """Score one (batch, features) batch; batch statistics need at least
         two rows."""
-        out, _latent, _tape = self.forward(as_batch(x))
+        out, _latent = self.forward(as_batch(x))
         return self._scores(out)
 
     def latent_batch(self, x: np.ndarray) -> np.ndarray:
-        _out, latent, _tape = self.forward(x)
+        _out, latent = self.forward(x)
         return latent
 
     def loss_and_grads(
@@ -239,7 +248,8 @@ class DetectorModel:
         """
         if loss_kind not in LOSSES:
             raise ValueError(f"unknown loss {loss_kind!r}")
-        out, _latent, tape = self.forward(x, mode=mode)
+        tape = []
+        out, _latent = self.forward(x, mode, tape)
         stacked_shape = out.shape
         out = out.reshape(-1, stacked_shape[-1])
         b = out.shape[0]
@@ -280,7 +290,8 @@ class DetectorModel:
         """Fix the frozen-mode statistics of every active normalization layer
         to the mean and variance it computes for the batch ``x`` in one
         batch-mode pass with the current parameters."""
-        _out, _latent, tape = self.forward(as_batch(x), mode=BN_BATCH)
+        tape = []
+        self.forward(as_batch(x), BN_BATCH, tape)
         caches = {name: cache for (name, _kind, _layer), cache in zip(self.blocks, tape)}
         for name, layer in self.active_norms():
             _mode, _xhat, _inv, mean, var = caches[name]

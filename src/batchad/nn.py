@@ -11,6 +11,16 @@ and no forward or backward pass mutates a layer, so a trained model can score
 concurrent batches. A layer names its parameter attributes in ``PARAMS``; its
 backward pass returns the input gradient and writes the parameter gradients
 into the arrays it is given (views of one flat gradient vector, in a model).
+
+Ownership: to save full-size temporaries, passes work in place, but only on
+arrays the caller hands over for that purpose. ``relu_forward`` zeroes its
+input in place and returns it; ``BatchNorm.backward`` and ``relu_backward``
+overwrite the gradient they receive and return it. ``Linear`` and
+``BatchNorm`` forward passes and ``Linear.backward`` never write their
+inputs. No pass writes a parameter, a cache or the frozen statistics, and no
+layer keeps a buffer between calls. A model hands a ReLU only the
+normalization output it just made, and a backward pass only a gradient it
+just computed.
 """
 
 from __future__ import annotations
@@ -66,7 +76,8 @@ class Linear:
                 f"linear layer expects {self.in_dim} input features, got {x.shape[-1]}"
             )
         # one matmul over all rows of a stack
-        rows = x.reshape(-1, self.in_dim) @ self.weight.T + self.bias
+        rows = x.reshape(-1, self.in_dim) @ self.weight.T
+        rows += self.bias
         return rows.reshape(*x.shape[:-1], self.out_dim), x
 
     def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray, g_bias: np.ndarray):
@@ -124,19 +135,26 @@ class BatchNorm:
             var = np.einsum("...ij,...ij->...j", xhat, xhat) / b
             inv = (1.0 / np.sqrt(var + self.eps))[..., None, :]
             xhat *= inv
-            return self.gamma * xhat + self.beta, (BN_BATCH, xhat, inv, mean, var)
-        if mode == BN_FROZEN:
+            cache = (BN_BATCH, xhat, inv, mean, var)
+        elif mode == BN_FROZEN:
             if self.frozen_mean is None:
                 raise RuntimeError("frozen statistics requested but none were captured")
             inv = 1.0 / np.sqrt(self.frozen_var + self.eps)
-            xhat = (x - self.frozen_mean) * inv
-            return self.gamma * xhat + self.beta, (BN_FROZEN, xhat, inv)
-        if mode == BN_IDENTITY:
-            return self.gamma * x + self.beta, (BN_IDENTITY, x, None)
-        raise ValueError(f"unknown batchnorm mode {mode!r}")
+            xhat = x - self.frozen_mean
+            xhat *= inv
+            cache = (BN_FROZEN, xhat, inv)
+        elif mode == BN_IDENTITY:
+            xhat = x
+            cache = (BN_IDENTITY, x, None)
+        else:
+            raise ValueError(f"unknown batchnorm mode {mode!r}")
+        out = self.gamma * xhat
+        out += self.beta
+        return out, cache
 
     def backward(self, grad: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray):
-        """Input gradient; writes the parameter gradients into ``g_gamma``, ``g_beta``."""
+        """Input gradient, written over ``grad``; writes the parameter
+        gradients into ``g_gamma``, ``g_beta``."""
         mode, xhat, inv = cache[:3]
         # per-batch sums; the parameter gradients add them over the stack
         g_sum = _row_sums(grad)[..., None, :]
@@ -145,21 +163,31 @@ class BatchNorm:
         g_sum.reshape(-1, self.dim).sum(axis=0, out=g_beta)
         if mode == BN_BATCH:
             # mean and variance depend on every row of the batch: full
-            # batch-coupled Jacobian
+            # batch-coupled Jacobian, (gamma * inv / b) * (b * grad - g_sum -
+            # xhat * gx_sum), evaluated in that order
             b = grad.shape[-2]
-            return (self.gamma * inv / b) * (b * grad - g_sum - xhat * gx_sum)
+            grad *= b
+            grad -= g_sum
+            grad -= xhat * gx_sum
+            grad *= self.gamma * inv / b
+            return grad
+        grad *= self.gamma
         if mode == BN_FROZEN:
-            return grad * self.gamma * inv
-        return grad * self.gamma
+            grad *= inv
+        return grad
 
 
 def relu_forward(x: np.ndarray):
+    """Zero the non-positive entries of ``x`` in place; returns ``(x, mask)``."""
     mask = x > 0
-    return x * mask, mask
+    np.multiply(x, mask, out=x)
+    return x, mask
 
 
 def relu_backward(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return grad * mask
+    """Zero ``grad`` in place where the forward input was not positive."""
+    np.multiply(grad, mask, out=grad)
+    return grad
 
 
 class Adam:

@@ -164,3 +164,56 @@ def row_digests(meta) -> set[bytes]:
         for row in pool:
             out.add(hashlib.blake2b(row.tobytes(), digest_size=16).digest())
     return out
+
+
+# ----- out-of-place layer formulas -------------------------------------------
+# The layer passes of ``batchad.nn`` written with one fresh array per
+# operation, in the same operation order: the bit-exact oracle for the
+# in-place passes.
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    return np.matmul(np.ones(a.shape[-2]), a)
+
+
+def reference_linear(layer, x: np.ndarray, grad: np.ndarray):
+    """(output, input gradient, weight gradient, bias gradient) of a Linear layer."""
+    rows_in = x.reshape(-1, layer.in_dim)
+    out = (rows_in @ layer.weight.T + layer.bias).reshape(*x.shape[:-1], layer.out_dim)
+    rows = grad.reshape(-1, layer.out_dim)
+    g_x = (rows @ layer.weight).reshape(x.shape)
+    return out, g_x, rows.T @ rows_in, _column_sums(rows)
+
+
+def reference_batchnorm(layer, x: np.ndarray, mode: str, grad: np.ndarray):
+    """(output, input gradient, gamma gradient, beta gradient) of a BatchNorm
+    layer in ``mode``."""
+    if mode == "batch":
+        b = x.shape[-2]
+        mean = _column_sums(x)[..., None, :] / b
+        centered = x - mean
+        var = np.einsum("...ij,...ij->...j", centered, centered) / b
+        inv = (1.0 / np.sqrt(var + layer.eps))[..., None, :]
+        xhat = centered * inv
+    elif mode == "frozen":
+        inv = 1.0 / np.sqrt(layer.frozen_var + layer.eps)
+        xhat = (x - layer.frozen_mean) * inv
+    else:
+        xhat = x
+    out = layer.gamma * xhat + layer.beta
+    g_sum = _column_sums(grad)[..., None, :]
+    gx_sum = np.einsum("...ij,...ij->...j", grad, xhat)[..., None, :]
+    g_gamma = gx_sum.reshape(-1, layer.dim).sum(axis=0)
+    g_beta = g_sum.reshape(-1, layer.dim).sum(axis=0)
+    if mode == "batch":
+        g_x = (layer.gamma * inv / b) * (b * grad - g_sum - xhat * gx_sum)
+    elif mode == "frozen":
+        g_x = grad * layer.gamma * inv
+    else:
+        g_x = grad * layer.gamma
+    return out, g_x, g_gamma, g_beta
+
+
+def reference_relu(x: np.ndarray, grad: np.ndarray):
+    """(output, input gradient) of a ReLU."""
+    mask = x > 0
+    return x * mask, grad * mask

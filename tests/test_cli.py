@@ -51,6 +51,17 @@ def spy_on(monkeypatch, name):
     return calls
 
 
+def one_training_bin_config(tmp_path):
+    """A config on a gaussian8 CSV whose training side is one bin (one pool)."""
+    main(["gen-data", "--preset", "gaussian8", "--out", str(tmp_path)])
+    config = tmp_path / "exp.toml"
+    config.write_text(
+        f'data_csv = "{tmp_path / "metaset.csv"}"\ntrain_bins = 1\n'
+        "iterations = 2\nhidden = [4]\nlatent_dim = 2\nruns = 1\neval_batches = 2\n"
+    )
+    return config
+
+
 class TestGenData:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -108,6 +119,15 @@ class TestTrain:
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert "'seed'" in capsys.readouterr().err
+
+    def test_one_pool_training_side_is_config_error_naming_it(self, tmp_path, monkeypatch, capsys):
+        # one training bin cannot contaminate the default pi = 0.8 tasks
+        config = one_training_bin_config(tmp_path)
+        calls = spy_on(monkeypatch, "train")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "training side" in capsys.readouterr().err
+        assert calls == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "none.toml"), "--out", str(tmp_path / "m")])
@@ -286,17 +306,13 @@ class TestEval:
     def test_one_pool_training_side_fails_before_evaluating(self, tmp_path, monkeypatch, capsys):
         # one training bin: enough for a pi = 1.0 model, but the shift
         # diagnostic samples the training side at the eval config's pi = 0.8
-        main(["gen-data", "--preset", "gaussian8", "--out", str(tmp_path)])
-        base = (
-            f'data_csv = "{tmp_path / "metaset.csv"}"\ntrain_bins = 1\n'
-            "iterations = 2\nhidden = [4]\nlatent_dim = 2\nruns = 1\neval_batches = 2\n"
-        )
-        (tmp_path / "train.toml").write_text(base + "pi = 1.0\n")
-        (tmp_path / "eval.toml").write_text(base)
+        config = one_training_bin_config(tmp_path)
+        train_config = tmp_path / "train.toml"
+        train_config.write_text(config.read_text() + "pi = 1.0\n")
         ckpt = tmp_path / "m.ckpt"
-        assert main(["train", "--config", str(tmp_path / "train.toml"), "--out", str(ckpt)]) == 0
+        assert main(["train", "--config", str(train_config), "--out", str(ckpt)]) == 0
         calls = spy_on(monkeypatch, "evaluate")
-        code = main(["eval", "--config", str(tmp_path / "eval.toml"), "--model", str(ckpt)])
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
         assert code == 2
         assert "training side" in capsys.readouterr().err
         assert calls == []
@@ -409,6 +425,16 @@ class TestAblate:
         code = main(["ablate", "--suite", "pi", "--config", str(config)])
         assert code == 2
         assert "test side" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("suite", ["bn-mode", "loss-variant"])
+    def test_training_side_checked_before_training(self, suite, tmp_path, monkeypatch, capsys):
+        # every group of bn-mode trains at pi = 0.8; loss-variant's first does
+        config = one_training_bin_config(tmp_path)
+        calls = spy_on(monkeypatch, "train")
+        code = main(["ablate", "--suite", suite, "--config", str(config)])
+        assert code == 2
+        assert "training side" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("line", ['data_csv = "elsewhere.csv"', "permutations = 1"])

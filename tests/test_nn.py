@@ -129,10 +129,11 @@ class TestReLU:
 
     def test_identity_on_positive(self):
         x = np.array([[0.5, 2.0]])
-        out, mask = relu_forward(x)
+        # relu_forward zeroes its input in place, so compare with a copy
+        out, mask = relu_forward(x.copy())
         np.testing.assert_allclose(out, x)
         g = np.array([[3.0, -4.0]])
-        np.testing.assert_allclose(relu_backward(g, mask), g)
+        np.testing.assert_allclose(relu_backward(g.copy(), mask), g)
 
 
 class TestBackwardGradients:
@@ -180,7 +181,8 @@ class TestBackwardGradients:
             return float((bn.forward(x)[0] * proj).sum())
 
         _, cache = bn.forward(x)
-        gx, grads = backward(bn, proj, cache)
+        # backward overwrites the gradient it receives; the loss re-reads proj
+        gx, grads = backward(bn, proj.copy(), cache)
         n_g, n_b, n_x = numeric_grad(loss, [bn.gamma, bn.beta, x])
         assert max_rel_error(grads["gamma"], n_g) <= REL_TOL
         assert max_rel_error(grads["beta"], n_b) <= REL_TOL
