@@ -30,13 +30,11 @@ from .scores import (
     dsvdd_scores,
     meta_oe_loss,
     naive_bn_score,
-    one_class_loss,
 )
 from .tasks import (
     MetaDataset,
     build_contaminated_task,
     hoeffding_violation_bound,
-    permute_attributes,
     sample_iteration_tasks,
 )
 from .training import TrainConfig, TrainReport, no_bn_trivial_loss_value, train
@@ -65,8 +63,6 @@ __all__ = [
     "meta_oe_loss",
     "naive_bn_score",
     "no_bn_trivial_loss_value",
-    "one_class_loss",
-    "permute_attributes",
     "sample_iteration_tasks",
     "save_checkpoint",
     "save_metaset_csv",

@@ -105,8 +105,7 @@ def build_metasets(cfg: ExperimentConfig):
         }
         spec = replace(_preset(cfg.data_preset), **overrides)
         train_meta, test_meta = generate_gaussian_metaset(spec, cfg.data_seed)
-    if cfg.permutations > 0:
-        train_meta = augment_with_permutations(train_meta, cfg.permutations, cfg.data_seed + 1)
+    train_meta = augment_with_permutations(train_meta, cfg.permutations, cfg.data_seed + 1)
     return train_meta, test_meta
 
 
@@ -169,6 +168,8 @@ def _fmt_auc(mean: float, std: float) -> str:
 # ----- subcommands -------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     train_meta, test_meta = generate_gaussian_metaset(_preset(args.preset), args.seed)
     csv_path, json_path = save_metaset_csv(train_meta, test_meta, args.out, seed=args.seed)
     print(f"wrote {csv_path}")

@@ -61,8 +61,9 @@ class ExperimentConfig(TrainConfig):
         for name in ("runs", "eval_batches"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.permutations < 0:
-            raise ConfigError(f"permutations must be nonnegative, got {self.permutations}")
+        for name in ("data_seed", "eval_seed", "permutations"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn import DTYPE
-from .tasks import MetaDataset, permute_attributes
+from .tasks import MetaDataset
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,14 @@ class TabularSource:
     timestamp_col: str | None = "bin"
     train_bins: int | None = None
     delimiter: str = ","
-    standardize: bool = True
 
 
-def fit_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and scale; zero-variance features get scale 1."""
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return mean, scale
-
-
-def apply_standardizer(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return (x - mean) / scale
+def _standardize(x: np.ndarray, fit: np.ndarray) -> np.ndarray:
+    """``(x - mean) / scale`` with the per-feature mean and standard deviation
+    of the rows ``fit``; a zero-variance feature gets scale 1."""
+    mean = fit.mean(axis=0)
+    scale = fit.std(axis=0)
+    return (x - mean) / np.where(scale > 0, scale, 1.0)
 
 
 def _bin_sort_key(value: str):
@@ -219,10 +214,7 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         normal = features[labels == 0]
         if len(normal) == 0:
             raise ConfigError(f"{path}: no normal rows")
-        mean, scale = fit_standardizer(normal)
-        if source.standardize:
-            normal = apply_standardizer(normal, mean, scale)
-        return MetaDataset(pools=(normal,), ids=(0,)), None
+        return MetaDataset(pools=(_standardize(normal, normal),), ids=(0,)), None
 
     bin_keys = sorted(set(bins), key=_bin_sort_key)
     if len(bin_keys) < 2:
@@ -240,9 +232,7 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     train_norm = train_mask & (labels == 0)
     if not train_norm.any():
         raise ConfigError(f"{path}: training bins contain no normal rows")
-    mean, scale = fit_standardizer(features[train_norm])
-    if source.standardize:
-        features = apply_standardizer(features, mean, scale)
+    features = _standardize(features, features[train_norm])
 
     train_pools, train_ids = [], []
     test_pools, test_ids = [], []
@@ -287,8 +277,7 @@ def augment_with_permutations(meta: MetaDataset, n_perms: int, seed: int) -> Met
     next_id = max(ids) + 1
     for _ in range(n_perms):
         for pool in meta.pools:
-            perm = rng.permutation(meta.dim)
-            pools.append(permute_attributes(pool, perm))
+            pools.append(pool[:, rng.permutation(meta.dim)])
             ids.append(next_id)
             next_id += 1
     return MetaDataset(pools=tuple(pools), ids=tuple(ids), anomaly_pool=meta.anomaly_pool)

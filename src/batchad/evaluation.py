@@ -74,20 +74,15 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 # ----- distribution-shift diagnostic ----------------------------------------
 
-def tv_distance_diagnostic(
-    a: np.ndarray,
-    b: np.ndarray,
-    bins: int | None = None,
-    n_projections: int = 16,
-    seed: int = 0,
-) -> float:
+def tv_distance_diagnostic(a: np.ndarray, b: np.ndarray) -> float:
     """Projected histogram lower bound on the total variation distance.
 
-    Projects both samples onto every coordinate plus ``n_projections`` random
-    unit directions, histograms each projection with shared equal-width bins
-    over the pooled range, and returns the largest half-L1 difference. A true
-    d-dimensional TV estimate is unreliable; a projection bound is honest and
-    still moves in the right direction.
+    Projects both samples onto every coordinate plus 16 random unit
+    directions (drawn with seed 0), histograms each projection with
+    ``max(2, isqrt(n))`` shared equal-width bins over the pooled range, ``n``
+    being the smaller sample size, and returns the largest half-L1
+    difference. A true d-dimensional TV estimate is unreliable; a projection
+    bound is honest and still moves in the right direction.
     """
     za = as_batch(a)
     zb = as_batch(b)
@@ -95,23 +90,15 @@ def tv_distance_diagnostic(
         raise ValueError("samples disagree on dimension")
     if len(za) == 0 or len(zb) == 0:
         raise ValueError("empty sample")
-    if bins is None:
-        bins = max(2, math.isqrt(min(len(za), len(zb))))
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    bins = max(2, math.isqrt(min(len(za), len(zb))))
+    dirs = np.random.default_rng(0).normal(size=(16, za.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    d = za.shape[1]
-    projections = [za[:, k] for k in range(d)], [zb[:, k] for k in range(d)]
-    pa_list, pb_list = projections
-    if n_projections > 0:
-        rng = np.random.default_rng(seed)
-        dirs = rng.normal(size=(n_projections, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pa_list = pa_list + [za @ u for u in dirs]
-        pb_list = pb_list + [zb @ u for u in dirs]
+    def projections(z):
+        return [*z.T, *(z @ u for u in dirs)]
 
     worst = 0.0
-    for pa, pb in zip(pa_list, pb_list):
+    for pa, pb in zip(projections(za), projections(zb)):
         lo = min(pa.min(), pb.min())
         hi = max(pa.max(), pb.max())
         if hi == lo:

@@ -81,11 +81,14 @@ def check_model_settings(
 ) -> tuple[bool, ...]:
     """The normalization mask of a model of this shape as booleans (all on
     when ``bn_mask`` is None); raises ``ValueError`` for an unknown head or
-    ``bn_mode`` or a mask of the wrong length. Builds nothing."""
+    ``bn_mode``, or a mask of the wrong length or with an entry other than 0
+    or 1. Builds nothing."""
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
     if bn_mode not in BN_MODES:
         raise ValueError(f"unknown bn_mode {bn_mode!r}")
+    if bn_mask is not None and any(m not in (0, 1) for m in bn_mask):
+        raise ValueError(f"bn_mask entries must be 0 or 1, got {list(bn_mask)}")
     n_bn = arch.n_bn_positions(head)
     mask = (True,) * n_bn if bn_mask is None else tuple(bool(m) for m in bn_mask)
     if len(mask) != n_bn:
@@ -117,6 +120,10 @@ class DetectorModel:
         center_frozen: bool = False,
     ):
         self.bn_mask = check_model_settings(arch, head, bn_mode, bn_mask)
+        if not (isinstance(inverse_eps, (int, float)) and 0 < inverse_eps < math.inf):
+            raise ValueError(f"inverse_eps must be positive and finite, got {inverse_eps!r}")
+        if not isinstance(center_frozen, bool):
+            raise TypeError(f"center_frozen must be a bool, got {center_frozen!r}")
         if rng is None:
             rng = np.random.default_rng(0)
 
@@ -124,7 +131,7 @@ class DetectorModel:
         self.head = head
         self.bn_mode = bn_mode
         self.inverse_eps = float(inverse_eps)
-        self.center_frozen = bool(center_frozen)
+        self.center_frozen = center_frozen
 
         blocks: list[tuple[str, str, object]] = []
         if arch.input_bn:

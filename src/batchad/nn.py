@@ -110,13 +110,11 @@ class BatchNorm:
     """
 
     PARAMS = ("gamma", "beta")
+    eps = 1e-5
 
-    def __init__(self, dim: int, eps: float = 1e-5):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+    def __init__(self, dim: int):
         self.gamma = np.ones(dim, dtype=DTYPE)
         self.beta = np.zeros(dim, dtype=DTYPE)
-        self.eps = float(eps)
         self.dim = dim
         # statistics used by the "frozen" mode
         self.frozen_mean = None

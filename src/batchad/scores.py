@@ -65,14 +65,6 @@ def meta_oe_loss(scores: ScoreVector, y) -> float:
     return float(np.mean((1.0 - y) * scores.s + y * scores.a))
 
 
-def one_class_loss(scores: ScoreVector) -> float:
-    """Plain one-class objective, the mean of s: the mixed objective with
-    every row labeled normal."""
-    if len(scores) == 0:
-        raise ValueError("empty score vector")
-    return meta_oe_loss(scores, np.zeros(len(scores)))
-
-
 def naive_bn_score(batch: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Parameter-free batch-relative score: squared norm of the z-scored row.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .nn import DTYPE, as_batch
+from .nn import DTYPE
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,3 @@ def hoeffding_violation_bound(batch_size: int, p: float) -> float:
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"anomaly fraction must lie in [0, 0.5], got {p}")
     return math.exp(-2.0 * batch_size * (0.5 - p) ** 2)
-
-
-def permute_attributes(x: np.ndarray, perm) -> np.ndarray:
-    """Reorder columns: column k of the output is column perm[k] of the input."""
-    x = as_batch(x)
-    perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(x.shape[1])):
-        raise ValueError("perm must be a bijection over the columns")
-    return x[:, perm]

@@ -58,6 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.learning_rate <= 0:

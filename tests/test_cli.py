@@ -84,6 +84,12 @@ class TestGenData:
         assert (a / "metaset.csv").read_bytes() == (b / "metaset.csv").read_bytes()
         assert (a / "metaset.json").read_bytes() == (b / "metaset.json").read_bytes()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_report(self, tiny_config, tmp_path, capsys):
@@ -119,6 +125,24 @@ class TestTrain:
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["seed", "data_seed", "eval_seed"])
+    def test_negative_seed_key_is_config_error_naming_it(self, key, tmp_path, capsys):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(TINY_CONFIG + f"{key} = -1\n")
+        ckpt = tmp_path / "m.ckpt"
+        code = main(["train", "--config", str(bad), "--out", str(ckpt)])
+        assert code == 2
+        assert f"error: {key} must be nonnegative" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("cmd, key", [("train", "seed"), ("eval", "eval_seed")])
+    def test_negative_seed_flag_names_its_key(self, cmd, key, tiny_config, tmp_path, capsys):
+        path = ["--out" if cmd == "train" else "--model", str(tmp_path / "m.ckpt")]
+        code = main([cmd, "--config", str(tiny_config), "--seed", "-1", *path])
+        assert code == 2
+        assert f"error: {key} must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_one_pool_training_side_is_config_error_naming_it(self, tmp_path, monkeypatch, capsys):
         # one training bin cannot contaminate the default pi = 0.8 tasks
@@ -222,6 +246,32 @@ class TestEval:
         code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("inverse_eps", float("nan")),
+            ("inverse_eps", 0.0),
+            ("inverse_eps", -1e-6),
+            ("inverse_eps", float("inf")),
+            ("inverse_eps", "1e-6"),
+            ("center_frozen", "no"),
+            ("center_frozen", 0),
+            ("bn_mask", ["0", 1, 1]),
+            ("bn_mask", [2, 1, 1]),
+        ],
+        ids=str,
+    )
+    def test_bad_header_value_is_runtime_error(self, field, value, tiny_config, tmp_path, capsys):
+        # each would load into a model whose scores are non-finite or not what
+        # the header seems to say
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        self.edit_header(ckpt, lambda head: head.update({field: value}))
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} has a malformed header" in err and field in err
 
     def test_oversized_arch_fails_before_allocating(self, tiny_config, tmp_path, capsys):
         # building this model would take hundreds of TiB

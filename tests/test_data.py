@@ -6,9 +6,7 @@ import pytest
 from batchad.data import (
     GaussianMetaSpec,
     TabularSource,
-    apply_standardizer,
     augment_with_permutations,
-    fit_standardizer,
     generate_gaussian_metaset,
     load_tabular,
     save_metaset_csv,
@@ -76,11 +74,11 @@ class TestCsvRoundTrip:
         )
         train, test = generate_gaussian_metaset(spec, seed=7)
         csv_path, _ = save_metaset_csv(train, test, tmp_path, seed=7)
-        source = TabularSource(path=str(csv_path), train_bins=3, standardize=False)
-        loaded_train, loaded_test = load_tabular(source)
+        # every written value parses back to the exact float64
+        parsed = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert np.array_equal(parsed[:, 2:], np.concatenate(train.pools + test.pools))
+        loaded_train, loaded_test = load_tabular(TabularSource(path=str(csv_path), train_bins=3))
         assert loaded_train.k == 3 and loaded_test.k == 2
-        for orig, got in zip(train.pools + test.pools, loaded_train.pools + loaded_test.pools):
-            assert np.array_equal(orig, got)
 
     def test_same_seed_same_bytes(self, tmp_path):
         spec = GaussianMetaSpec(
@@ -145,11 +143,15 @@ class TestLoadTabular:
             + ["1,1,77,0", "1,1,78,0"]
         )
         path = write_csv(tmp_path / "d.csv", rows)
-        train, test = load_tabular(TabularSource(path=path, train_bins=1, standardize=False))
+        train, test = load_tabular(TabularSource(path=path, train_bins=1))
         assert train.pools[0].shape[0] == 8
         assert test.anomaly_pool is not None
         assert test.anomaly_pool.shape[0] == 2
-        assert set(test.anomaly_pool[:, 0]) == {77.0, 78.0}
+        # standardized with the train bin's normal rows: f0 = 0..7, f1 constant
+        mean, std = 3.5, np.std(np.arange(8.0))
+        np.testing.assert_allclose(
+            test.anomaly_pool, [[(77 - mean) / std, 0.0], [(78 - mean) / std, 0.0]], rtol=1e-15
+        )
 
     def test_standardization_fitted_on_train_only(self, tmp_path):
         rows = [f"0,0,{i},1" for i in range(4)] + [f"1,0,{i + 100},1" for i in range(4)]
@@ -162,30 +164,36 @@ class TestLoadTabular:
     def test_no_timestamp_column_single_pool(self, tmp_path):
         rows = ["0,1,2", "0,3,4", "1,9,9"]
         path = write_csv(tmp_path / "d.csv", rows, header="label,f0,f1")
-        train, test = load_tabular(
-            TabularSource(path=path, timestamp_col=None, standardize=False)
-        )
+        train, test = load_tabular(TabularSource(path=path, timestamp_col=None))
         assert test is None
         assert train.k == 1
         assert train.pools[0].shape == (2, 2)  # the anomaly row is excluded
 
 
 class TestStandardizer:
-    def test_refit_is_idempotent(self):
+    def test_refit_is_idempotent(self, tmp_path):
+        # the loaded training rows are already standardized: refitting on
+        # them gives mean 0 and scale 1
         rng = np.random.default_rng(0)
-        x = rng.normal(5.0, 3.0, size=(200, 4))
-        mean, scale = fit_standardizer(x)
-        z = apply_standardizer(x, mean, scale)
-        mean2, scale2 = fit_standardizer(z)
-        np.testing.assert_allclose(mean2, 0.0, atol=1e-12)
-        np.testing.assert_allclose(scale2, 1.0, atol=1e-12)
+        x = rng.normal(5.0, 3.0, size=(200, 2))
+        rows = [f"{i % 2},0,{a:.17g},{b:.17g}" for i, (a, b) in enumerate(x)] + ["2,0,1,1"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        train, _ = load_tabular(TabularSource(path=path, train_bins=2))
+        z = np.concatenate(train.pools)
+        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
 
-    def test_zero_variance_feature_kept(self):
-        x = np.column_stack([np.ones(10), np.arange(10.0)])
-        mean, scale = fit_standardizer(x)
-        z = apply_standardizer(x, mean, scale)
-        assert np.all(np.isfinite(z))
-        np.testing.assert_allclose(z[:, 0], 0.0)
+    def test_zero_variance_feature_kept(self, tmp_path):
+        rows = [f"{i % 2},0,1,{i}" for i in range(10)] + ["2,0,1,3", "2,0,1,4"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        train, test = load_tabular(TabularSource(path=path, train_bins=2))
+        for z in train.pools + test.pools:
+            assert np.all(np.isfinite(z))
+            np.testing.assert_array_equal(z[:, 0], 0.0)
+        # without a timestamp column the lone pool is standardized the same way
+        path = write_csv(tmp_path / "n.csv", [f"0,1,{i}" for i in range(10)], header="label,f0,f1")
+        train, _ = load_tabular(TabularSource(path=path, timestamp_col=None))
+        np.testing.assert_array_equal(train.pools[0][:, 0], 0.0)
 
 
 class TestAugmentWithPermutations:

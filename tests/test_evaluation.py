@@ -81,14 +81,15 @@ class TestTvDiagnostic:
     def test_hand_histogram(self):
         a = np.zeros((100, 1))
         b = np.concatenate([np.zeros((50, 1)), np.ones((50, 1))])
-        assert tv_distance_diagnostic(a, b, bins=2, n_projections=0) == 0.5
+        # every projection of a 1-D sample is +-x: half of b's mass moves
+        assert tv_distance_diagnostic(a, b) == 0.5
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(80, 4))
         b = rng.normal(1.0, 2.0, size=(60, 4))
-        ab = tv_distance_diagnostic(a, b, seed=5)
-        ba = tv_distance_diagnostic(b, a, seed=5)
+        ab = tv_distance_diagnostic(a, b)
+        ba = tv_distance_diagnostic(b, a)
         assert ab == ba
         assert 0.0 <= ab <= 1.0
 

@@ -6,6 +6,7 @@ import pytest
 from batchad.errors import BatchTooSmallError
 from batchad.model import Architecture, DetectorModel, _manifest
 from batchad.nn import Adam, BatchNorm, Linear, relu_backward, relu_forward
+from batchad.scores import dsvdd_scores
 
 from helpers import REL_TOL, max_rel_error, numeric_grad, smooth_random_instance
 
@@ -71,7 +72,8 @@ class TestBatchNormForward:
         np.testing.assert_allclose(out, [[-2.0], [2.0]], atol=1e-4)
 
     def test_three_point_column(self):
-        bn = BatchNorm(1, eps=1e-12)
+        bn = BatchNorm(1)
+        bn.eps = 1e-12
         out, _ = bn.forward(np.array([[0.0], [1.0], [2.0]]))
         np.testing.assert_allclose(out.ravel(), [-1.2247, 0.0, 1.2247], atol=1e-4)
 
@@ -226,7 +228,11 @@ class TestFullNetworkGradients:
     def test_one_class_and_identity_mode(self, seed):
         mode = "identity" if seed % 2 else "batch"
         model, x, y = smooth_random_instance(seed + 90, mode=mode)
-        grads = model.views(model.loss_and_grads(x, y, loss_kind="one_class", mode=mode)[1])
+        loss, grad_theta = model.loss_and_grads(x, y, loss_kind="one_class", mode=mode)
+        # the one-class objective is the mean of s, whatever the labels say
+        out, _latent = model.forward(x, mode)
+        assert loss == np.mean(dsvdd_scores(out, model.center, model.inverse_eps).s)
+        grads = model.views(grad_theta)
         params = model.params()
 
         def loss():

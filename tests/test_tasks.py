@@ -8,7 +8,6 @@ from batchad.tasks import (
     MetaDataset,
     build_contaminated_task,
     hoeffding_violation_bound,
-    permute_attributes,
     sample_iteration_tasks,
 )
 from batchad.training import TrainConfig
@@ -218,24 +217,3 @@ class TestHoeffdingBound:
     def test_monotone_in_batch_size(self):
         values = [hoeffding_violation_bound(b, 0.3) for b in (0, 10, 50, 200)]
         assert values == sorted(values, reverse=True)
-
-
-class TestPermuteAttributes:
-    def test_identity(self):
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(permute_attributes(x, [0, 1, 2, 3]), x)
-
-    def test_definition(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(permute_attributes(x, [2, 0, 1]), [[3.0, 1.0, 2.0]])
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(5, 6))
-        perm = rng.permutation(6)
-        inv = np.argsort(perm)
-        np.testing.assert_array_equal(permute_attributes(permute_attributes(x, perm), inv), x)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            permute_attributes(np.ones((2, 3)), [0, 0, 1])

@@ -7,7 +7,7 @@ import pytest
 
 from batchad.errors import ConfigError, DivergenceError
 from batchad.model import CHECKPOINT_MAGIC, STAT_FIELDS, load_checkpoint, save_checkpoint
-from batchad.scores import ScoreVector, meta_oe_loss, one_class_loss
+from batchad.scores import ScoreVector, meta_oe_loss
 from batchad.tasks import MetaDataset, sample_iteration_tasks
 from batchad import training
 from batchad.training import (
@@ -43,17 +43,17 @@ class TestLosses:
         with pytest.raises(ValueError):
             meta_oe_loss(sv([1.0]), [0, 1])
 
-    def test_one_class_values(self):
-        assert one_class_loss(sv([0.0, 0.0])) == 0.0
-        assert one_class_loss(sv([2.0, 4.0])) == pytest.approx(3.0)
-
-    def test_one_class_empty(self):
-        with pytest.raises(ValueError):
-            one_class_loss(sv([]))
-
     def test_losses_agree_on_pure_batch(self):
-        scores = sv([0.3, 1.7, 2.4])
-        assert meta_oe_loss(scores, [0, 0, 0]) == one_class_loss(scores)
+        # one_class is the mixed objective with every row labeled normal,
+        # whatever labels it is given
+        model = small_cfg().model(input_dim=1)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 12, 1))
+        y = (rng.random((2, 12)) < 0.3).astype(float)
+        loss, grad = model.loss_and_grads(x, np.zeros_like(y), loss_kind="meta_oe")
+        one_loss, one_grad = model.loss_and_grads(x, y, loss_kind="one_class")
+        assert loss == one_loss
+        assert np.array_equal(grad, one_grad)
 
 
 class TestTrivialOptimum:
