@@ -125,8 +125,7 @@ def collect_latents(
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x, _y = sample_iteration_tasks(meta, n_batches, 1.0 - anomaly_ratio, batch_size, rng)
-    latent = [model.latent_batch(batch) for batch in x]
-    return x.reshape(-1, meta.dim), np.concatenate(latent, axis=0)
+    return x.reshape(-1, meta.dim), model.latent_batch(x)
 
 
 # ----- full evaluation protocol ----------------------------------------------
@@ -158,10 +157,10 @@ def evaluate(
     """One-vs-rest evaluation over the test meta-set.
 
     For every test pool (rotation), anomaly ratio, and run, samples
-    ``batches_per_run`` contaminated batches in one call, scores each batch
-    on its own, and computes one AUROC per cell from the pooled scores. Cell
-    RNG streams depend only on (seed, ratio index, rotation, run), so results
-    are independent of execution order.
+    ``batches_per_run`` contaminated batches in one call, scores them as one
+    stack, each batch normalized on its own, and computes one AUROC per cell
+    from the pooled scores. Cell RNG streams depend only on (seed, ratio
+    index, rotation, run), so results are independent of execution order.
     """
     ratios = check_ratios(ratios, batch_size)
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))
@@ -170,7 +169,7 @@ def evaluate(
         rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
         js = np.full(batches_per_run, rotation)
         x, y = build_contaminated_task(meta_test, js, 1.0 - ratio, batch_size, rng)
-        scores = np.concatenate([model.score_batch(batch).s for batch in x])
+        scores = model.score_batch(x).s
         cell_auc[ri, rotation, run] = auroc(scores, y)
         n_scored += len(scores)
 

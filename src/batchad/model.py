@@ -42,6 +42,11 @@ HEAD_DSVDD = "dsvdd"
 HEAD_BCE = "bce"
 HEADS = (HEAD_DSVDD, HEAD_BCE)
 
+# the most rows one scoring forward takes from a stack: a long stack is scored
+# in chunks of whole batches, which bounds memory and, as statistics are per
+# batch, changes no score
+STACK_ROWS = 4096
+
 CHECKPOINT_MAGIC = b"batchad-checkpoint v1\n"
 # the only per-layer statistics a checkpoint may carry
 STAT_FIELDS = ("frozen_mean", "frozen_var")
@@ -190,11 +195,13 @@ class DetectorModel:
         the representation the generalization diagnostic inspects.
 
         Given a list as ``tape``, appends each block's cache to it, in block
-        order, for a backward pass; without one no cache is kept, so each
-        activation is freed as soon as the next one exists. ``x`` is never
-        written: every ReLU zeroes, in place, the normalization output made
-        just before it in this call (the latent is copied first when a ReLU
-        follows it).
+        order, for a backward pass, and each linear layer multiplies all rows
+        of a stack at once. Without one no cache is kept, so each activation
+        is freed as soon as the next one exists, and each batch of a stack is
+        multiplied on its own, so its rows get the bits the batch alone gets.
+        ``x`` is never written: every ReLU zeroes, in place, the normalization
+        output made just before it in this call (the latent is copied first
+        when a ReLU follows it).
         """
         x = as_batch(x, stacked=True)
         if x.shape[-1] != self.arch.input_dim:
@@ -206,7 +213,7 @@ class DetectorModel:
         bn_i = 0
         for _name, kind, layer in self.blocks:
             if kind == "linear":
-                x, cache = layer.forward(x)
+                x, cache = layer.forward(x, per_batch=tape is None)
             elif kind == "bn":
                 x, cache = layer.forward(x, self._bn_behavior(bn_i, mode))
                 latent = x
@@ -227,15 +234,38 @@ class DetectorModel:
             return dsvdd_scores(out, self.center, self.inverse_eps)
         return bce_scores(out[:, 0])
 
+    def _chunked(self, x: np.ndarray, keep) -> list:
+        """``keep(output rows, latent rows)`` of one forward over a (batch,
+        features) batch, or of one forward per chunk of a (tasks, batch,
+        features) stack, in order. A chunk is a run of whole batches of at
+        most ``STACK_ROWS`` rows, and at least one batch."""
+        x = as_batch(x, stacked=True)
+        if x.ndim == 2:
+            return [keep(*self.forward(x))]
+        step = max(1, STACK_ROWS // max(1, x.shape[1]))
+        return [
+            keep(*(a.reshape(-1, a.shape[-1]) for a in self.forward(x[lo:lo + step])))
+            for lo in range(0, max(len(x), 1), step)  # an empty stack is one empty chunk
+        ]
+
     def score_batch(self, x: np.ndarray) -> ScoreVector:
-        """Score one (batch, features) batch; batch statistics need at least
-        two rows."""
-        out, _latent = self.forward(as_batch(x))
-        return self._scores(out)
+        """Score a (batch, features) batch or a (tasks, batch, features)
+        stack of equally sized batches. Each batch is normalized by its own
+        statistics only, which need at least two rows in batch mode; the
+        scores come back flat, in row order."""
+        parts = self._chunked(x, lambda out, _latent: self._scores(out))
+        if len(parts) == 1:
+            return parts[0]
+        return ScoreVector(
+            s=np.concatenate([p.s for p in parts]), a=np.concatenate([p.a for p in parts])
+        )
 
     def latent_batch(self, x: np.ndarray) -> np.ndarray:
-        _out, latent = self.forward(x)
-        return latent
+        """The (rows, latent) representation of a batch or a stack, as
+        :meth:`score_batch` scores it: each batch normalized on its own,
+        rows in order."""
+        parts = self._chunked(x, lambda _out, latent: latent)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def loss_and_grads(
         self,

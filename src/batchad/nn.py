@@ -4,8 +4,9 @@ with batch-computed statistics, reverse-mode gradients, and Adam.
 All activations are float64 numpy arrays of shape ``(..., batch, features)``:
 either one ``(batch, features)`` batch or a ``(tasks, batch, features)`` stack
 of equally sized batches. Batch normalization takes its statistics per batch
-along the row axis (``axis=-2``), so a stack computes exactly what a loop over
-its batches would; parameter gradients are summed over every row of the stack.
+along the row axis (``axis=-2``), so a stack is normalized as a loop over its
+batches would be (bit for bit when ``Linear`` multiplies per batch);
+parameter gradients are summed over every row of the stack.
 Forward passes return an ``(output, cache)`` pair; the cache is call-local
 and no forward or backward pass mutates a layer, so a trained model can score
 concurrent batches. A layer names its parameter attributes in ``PARAMS``; its
@@ -70,12 +71,20 @@ class Linear:
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, per_batch: bool = False):
+        """Output and cache. A stack is multiplied in one product over all
+        its rows, or with ``per_batch`` in one product per batch: a BLAS may
+        pick its kernel, and so its summation order, by the number of rows,
+        and only per-batch products give every row the bits it gets when its
+        batch is multiplied alone."""
         if x.shape[-1] != self.in_dim:
             raise ValueError(
                 f"linear layer expects {self.in_dim} input features, got {x.shape[-1]}"
             )
-        # one matmul over all rows of a stack
+        if per_batch:
+            out = np.matmul(x, self.weight.T)
+            out += self.bias
+            return out, x
         rows = x.reshape(-1, self.in_dim) @ self.weight.T
         rows += self.bias
         return rows.reshape(*x.shape[:-1], self.out_dim), x

@@ -24,7 +24,9 @@ LOSSES = (LOSS_META_OE, LOSS_ONE_CLASS)
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Paired anomaly scores for one batch: s (anomalous-is-large) and a (inverse)."""
+    """Paired anomaly scores, one per row in row order, of a batch or of a
+    stack of batches each normalized on its own: s (anomalous-is-large) and a
+    (inverse)."""
 
     s: np.ndarray
     a: np.ndarray

@@ -166,6 +166,12 @@ def row_digests(meta) -> set[bytes]:
     return out
 
 
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.array_equal(got, want)
+    # array_equal calls -0.0 and 0.0 equal; the bytes do not
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ----- out-of-place layer formulas -------------------------------------------
 # The layer passes of ``batchad.nn`` written with one fresh array per
 # operation, in the same operation order: the bit-exact oracle for the

@@ -283,6 +283,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "arch needs" in err
 
+    def test_unallocatable_eval_batches_is_runtime_error(self, tiny_config, tmp_path, capsys):
+        # 10**12 batches need terabytes, which numpy refuses at once; a
+        # value that fits the address space would really try to allocate it
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        huge = tmp_path / "huge.toml"
+        huge.write_text(TINY_CONFIG.replace("eval_batches = 3", "eval_batches = 1000000000000"))
+        code = main(["eval", "--config", str(huge), "--model", str(ckpt)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: out of memory")
+
     def test_scalar_hidden_widths_are_runtime_error(self, tiny_config, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         main(["train", "--config", str(tiny_config), "--out", str(ckpt)])

@@ -13,10 +13,18 @@ from batchad.evaluation import (
     tie_average_ranks,
     tv_distance_diagnostic,
 )
-from batchad.model import Architecture, DetectorModel
+import batchad.model
+from batchad.model import HEADS, STACK_ROWS, Architecture, DetectorModel
+from batchad.nn import BN_BATCH, BN_MODES
+from batchad.scores import bce_scores, dsvdd_scores
 from batchad.training import TrainConfig, train
 
-from helpers import pair_count_auroc, reference_tie_average_ranks, toy_two_pool_meta
+from helpers import (
+    assert_same_bits,
+    pair_count_auroc,
+    reference_tie_average_ranks,
+    toy_two_pool_meta,
+)
 
 
 class TestAuroc:
@@ -141,6 +149,82 @@ class TestScoreBatch:
         batch[7, 0] = 50.0 + 5.0
         scores = model.score_batch(batch).s
         assert np.argmax(scores) == 7
+
+
+def scoring_model(head: str, mode: str) -> DetectorModel:
+    """A model off its init values, scoring in ``mode``, frozen statistics set."""
+    rng = np.random.default_rng(6)
+    arch = Architecture(input_dim=5, hidden=(16, 16), latent_dim=6, input_bn=True)
+    model = DetectorModel(arch, head=head, rng=rng, bn_mode=mode)
+    model.theta += rng.normal(0.0, 0.2, model.theta.shape)
+    model.freeze_batch_stats(rng.normal(size=(30, 5)))
+    return model
+
+
+def scored_one_batch_at_a_time(model, x):
+    """(s, a, latent rows) of a stack from one call per batch, in row order."""
+    parts = [(model.score_batch(batch), model.latent_batch(batch)) for batch in x]
+    return tuple(np.concatenate(v) for v in zip(*((sv.s, sv.a, z) for sv, z in parts)))
+
+
+class TestStackedScoring:
+    @pytest.mark.parametrize("rows", [2, 3, 60])
+    @pytest.mark.parametrize("mode", BN_MODES)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_stack_scores_bit_equal_to_the_per_batch_loop(self, head, mode, rows):
+        model = scoring_model(head, mode)
+        x = np.random.default_rng(rows).normal(2.0, 3.0, size=(7, rows, 5))
+        sv = model.score_batch(x)
+        stacked = (sv.s, sv.a, model.latent_batch(x))
+        for got, want in zip(stacked, scored_one_batch_at_a_time(model, x)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("budget", [STACK_ROWS, 60, 59, 150])
+    @pytest.mark.parametrize("head", HEADS)
+    def test_stack_over_the_row_budget_scores_as_unchunked(self, head, budget, monkeypatch):
+        # 81 batches of 60 rows are 4860 rows, over the 4096-row budget
+        model = scoring_model(head, BN_BATCH)
+        x = np.random.default_rng(8).normal(size=(81, 60, 5))
+        monkeypatch.setattr(batchad.model, "STACK_ROWS", 10**9)
+        whole = model.score_batch(x), model.latent_batch(x)
+        monkeypatch.setattr(batchad.model, "STACK_ROWS", budget)
+        chunks = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda xs: chunks.append(len(xs)) or forward(xs))
+        sv, z = model.score_batch(x), model.latent_batch(x)
+        # whole batches, as many as fit the budget, and at least one
+        per_chunk = max(1, budget // 60)
+        assert chunks == 2 * [min(per_chunk, 81 - lo) for lo in range(0, 81, per_chunk)]
+        for got, want in ((sv.s, whole[0].s), (sv.a, whole[0].a), (z, whole[1])):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_a_batch_scores_as_its_forward_pass(self, head):
+        model = scoring_model(head, BN_BATCH)
+        x = np.random.default_rng(9).normal(size=(60, 5))
+        out, latent = model.forward(x)
+        sv = model.score_batch(x)
+        if head == "dsvdd":
+            want = dsvdd_scores(out, model.center, model.inverse_eps)
+        else:
+            want = bce_scores(out[:, 0])
+        assert_same_bits(sv.s, want.s)
+        assert_same_bits(sv.a, want.a)
+        assert_same_bits(model.latent_batch(x), latent)
+
+    def test_stack_of_one_row_batches_is_too_small(self):
+        model = scoring_model("dsvdd", BN_BATCH)
+        with pytest.raises(BatchTooSmallError):
+            model.score_batch(np.ones((4, 1, 5)))
+        with pytest.raises(BatchTooSmallError):
+            model.latent_batch(np.ones((4, 1, 5)))
+
+    def test_four_dimensional_input_is_rejected(self):
+        model = scoring_model("dsvdd", BN_BATCH)
+        with pytest.raises(ValueError):
+            model.score_batch(np.ones((2, 3, 4, 5)))
+        with pytest.raises(ValueError):
+            model.latent_batch(np.ones((2, 3, 4, 5)))
 
 
 @pytest.fixture(scope="module")

@@ -6,18 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from batchad.model import HEADS, Architecture, DetectorModel
+from batchad.model import HEADS, STACK_ROWS, Architecture, DetectorModel
 from batchad.nn import BN_MODES, BatchNorm, Linear, relu_backward, relu_forward
 
-from helpers import reference_batchnorm, reference_linear, reference_relu
+from helpers import assert_same_bits, reference_batchnorm, reference_linear, reference_relu
 
 SHAPES = [pytest.param((7, 5), id="batch"), pytest.param((3, 7, 5), id="stack")]
-
-
-def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    assert np.array_equal(got, want)
-    # array_equal calls -0.0 and 0.0 equal; the bytes do not
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestLayersMatchOutOfPlaceFormulas:
@@ -97,6 +91,8 @@ def test_public_entry_points_never_write_caller_arrays(head, input_bn, mode):
 
     model.score_batch(holder[1])
     model.latent_batch(holder[1])
+    model.score_batch(holder)
+    model.latent_batch(holder)
     assert (holder.tobytes(), model.theta.tobytes(), frozen_stats(model)) == (
         before[0], theta, stats
     )
@@ -144,6 +140,7 @@ class TestAllocationBudget:
         self.model = DetectorModel(Architecture(input_dim=8), rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         self.x = rng.normal(size=(2048, 8))
+        self.cells = rng.normal(size=(400, 60, 8))
         self.stack = rng.normal(size=(8, 60, 8))
         self.y = (rng.random((8, 60)) < 0.2).astype(float)
         # first calls may set up lazily allocated state outside the budget
@@ -153,6 +150,17 @@ class TestAllocationBudget:
     def test_score_batch_of_2048_rows(self):
         peak = traced_peak(lambda: self.model.score_batch(self.x))
         assert peak <= 5 * MIB, peak
+
+    def test_score_batch_of_a_400_batch_stack(self):
+        # the stack is scored in chunks of STACK_ROWS // 60 whole batches.
+        # Budget: five 64-wide activations of one chunk, the rate the
+        # 2048-row budget allows one batch, plus s and a of all 24,000 rows,
+        # held twice while the chunks' scores are joined. One activation of
+        # the stack scored unchunked would take 11.7 MiB on its own
+        chunk_rows = STACK_ROWS // 60 * 60
+        budget = 5 * chunk_rows * 64 * 8 + 2 * 2 * self.cells[..., 0].size * 8
+        peak = traced_peak(lambda: self.model.score_batch(self.cells))
+        assert peak <= budget, (peak, budget)
 
     def test_loss_and_grads_of_an_8_task_stack(self):
         peak = traced_peak(lambda: self.model.loss_and_grads(self.stack, self.y))

@@ -80,6 +80,47 @@ def test_scores_are_invariant_to_a_shared_shift(head, case):
     assert_close(model.score_batch(x + shift).s, model.score_batch(x).s)
 
 
+@st.composite
+def scored_stacks(draw):
+    """A model shape and seed as in ``scored_batches``, a stack of 2-6
+    batches of 2-40 rows, and one shift vector per batch."""
+    arch, _rows, _shift, seed = draw(scored_batches())
+    tasks = draw(st.integers(2, 6))
+    rows = draw(st.integers(2, 40))
+    n = tasks * arch.input_dim
+    shifts = draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))
+    return arch, tasks, rows, np.array(shifts).reshape(tasks, arch.input_dim), seed
+
+
+def random_model_and_stack(head, arch, tasks, rows, seed):
+    model, x, rng = random_model_and_batch(head, arch, tasks * rows, seed)
+    return model, x.reshape(tasks, rows, arch.input_dim), rng
+
+
+@pytest.mark.parametrize("head", HEADS)
+@PROPERTY_SETTINGS
+@given(case=scored_stacks())
+def test_stack_scores_are_invariant_to_a_shift_per_batch(head, case):
+    # each batch's first normalization cancels that batch's own constant;
+    # statistics pooled over the stack would not cancel different constants
+    arch, tasks, rows, shifts, seed = case
+    model, x, _rng = random_model_and_stack(head, arch, tasks, rows, seed)
+    assert_close(model.score_batch(x + shifts[:, None, :]).s, model.score_batch(x).s)
+
+
+@pytest.mark.parametrize("head", HEADS)
+@PROPERTY_SETTINGS
+@given(case=scored_stacks())
+def test_permuting_the_batches_of_a_stack_permutes_its_score_blocks(head, case):
+    # statistics carried from one batch, or chunk, to the next would tie a
+    # batch's scores to its place in the stack
+    arch, tasks, rows, _shifts, seed = case
+    model, x, rng = random_model_and_stack(head, arch, tasks, rows, seed)
+    perm = rng.permutation(tasks)
+    blocks = model.score_batch(x).s.reshape(tasks, rows)
+    assert_close(model.score_batch(x[perm]).s.reshape(tasks, rows), blocks[perm])
+
+
 @pytest.mark.parametrize("head", HEADS)
 @PROPERTY_SETTINGS
 @given(case=scored_batches(), scale=st.floats(1e-2, 1e2))
