@@ -5,7 +5,7 @@ detector and write a checkpoint plus report), ``eval`` (score a checkpoint on
 test pools), and ``ablate`` (run one of the predefined study grids). Results
 are appended as JSON lines, one self-describing record per row; tables go to
 stdout. Exit codes: 0 success, 2 usage or config error, 3 runtime or numeric
-failure.
+failure; a file that cannot be read or written is an exit 2.
 """
 
 from __future__ import annotations
@@ -49,7 +49,10 @@ def _ratio_list(text: str) -> list[float]:
 def _load_config(args) -> ExperimentConfig:
     values = {}
     if getattr(args, "config", None):
-        values = parse_flat_config(Path(args.config).read_text())
+        try:
+            values = parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc}") from None
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed" if args.cmd == "train" else "eval_seed"] = args.seed
@@ -136,10 +139,17 @@ def _check_training_side(meta, cfg) -> None:
         _check_side(meta, "training", f"contaminated training at pi = {cfg.pi}")
 
 
-def _append_record(path, record: dict) -> None:
+def _output_file(path) -> Path:
+    """``path`` as a file to write: its directory is made, a directory there refused."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    return path
+
+
+def _append_record(path, record: dict) -> None:
+    with open(_output_file(path), "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -181,10 +191,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     train_meta, _ = build_metasets(cfg)
     _check_training_side(train_meta, cfg)
+    out = _output_file(args.out)
     started = time.perf_counter()
     model, report = train(train_meta, cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out)
     record = _record_skeleton("train", cfg)
     record.update(
@@ -391,7 +400,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

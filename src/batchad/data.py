@@ -234,25 +234,17 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         raise ConfigError(f"{path}: training bins contain no normal rows")
     features = _standardize(features, features[train_norm])
 
-    train_pools, train_ids = [], []
-    test_pools, test_ids = [], []
-    for b in range(len(bin_keys)):
-        normal = features[(row_bin == b) & (labels == 0)]
-        if len(normal) == 0:
-            continue
-        if b < source.train_bins:
-            train_pools.append(normal)
-            train_ids.append(b)
-        else:
-            test_pools.append(normal)
-            test_ids.append(b)
+    # every bin with normal rows is a pool, on the side its index falls on
+    normal = {b: features[(row_bin == b) & (labels == 0)] for b in range(len(bin_keys))}
+    train_ids = [b for b in range(source.train_bins) if len(normal[b])]
+    test_ids = [b for b in range(source.train_bins, len(bin_keys)) if len(normal[b])]
     anomalies = features[(row_bin >= source.train_bins) & (labels == 1)]
 
-    if not train_pools or not test_pools:
+    if not train_ids or not test_ids:
         raise ConfigError(f"{path}: empty train or test side after binning")
-    train = MetaDataset(pools=tuple(train_pools), ids=tuple(train_ids))
+    train = MetaDataset(pools=tuple(normal[b] for b in train_ids), ids=tuple(train_ids))
     test = MetaDataset(
-        pools=tuple(test_pools),
+        pools=tuple(normal[b] for b in test_ids),
         ids=tuple(test_ids),
         anomaly_pool=anomalies if len(anomalies) else None,
     )

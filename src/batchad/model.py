@@ -1,10 +1,10 @@
 """Detector model: a batch-normalized MLP feature extractor plus a scoring head.
 
 Two heads are supported. The distance head scores each row by its squared
-distance to a learnable center in latent space; the classifier head emits a
-single logit per row. Normalization layers sit after every linear map (and
-after the latent layer for the distance head); each can be switched between
-batch statistics, frozen train-time statistics, and plain affine identity.
+distance to a learnable center in latent space; the classifier head emits one
+logit per row plus a learned offset. Normalization layers sit after every
+linear map (and after the latent layer for the distance head); each can use
+batch statistics, frozen train-time statistics or a plain affine identity.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ class Architecture:
 
     def n_params(self, head: str) -> int:
         """Number of parameter values of a model of this shape, counted
-        without building it: linear weights and biases, every gamma and
-        beta, and the distance head's center."""
+        without building it: linear weights, every gamma and beta, and the
+        head's center or logit offset."""
         latent = self.latent_dim if head == HEAD_DSVDD else 0
         widths = (self.input_dim, *self.hidden, latent or 1)
-        linear = sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+        linear = sum(a * b for a, b in zip(widths, widths[1:]))
         norms = self.input_bn * self.input_dim + sum(self.hidden) + latent
-        return linear + 2 * norms + latent
+        return linear + 2 * norms + (latent or 1)
 
 
 def check_model_settings(
@@ -153,16 +153,16 @@ class DetectorModel:
             blocks.append(("bn_out", "bn", BatchNorm(arch.latent_dim)))
         self.blocks = blocks
 
+        # the head's own parameter: a latent center, or a scalar logit offset
         self.center = np.zeros(arch.latent_dim, dtype=DTYPE) if head == HEAD_DSVDD else None
-
+        self.offset = np.zeros((), dtype=DTYPE) if head == HEAD_BCE else None
+        head_param = "center" if head == HEAD_DSVDD else "offset"
         owners = [
             (layer, attr, f"{name}.{attr}")
             for name, _kind, layer in blocks
             if layer is not None
             for attr in layer.PARAMS
-        ]
-        if self.center is not None:
-            owners.append((self, "center", "center"))
+        ] + [(self, head_param, head_param)]
         arrays = [getattr(owner, attr) for owner, attr, _name in owners]
         stops = np.cumsum([arr.size for arr in arrays]).tolist()
         self.layout = tuple(
@@ -195,10 +195,9 @@ class DetectorModel:
         the representation the generalization diagnostic inspects.
 
         Given a list as ``tape``, appends each block's cache to it, in block
-        order, for a backward pass, and each linear layer multiplies all rows
-        of a stack at once. Without one no cache is kept, so each activation
-        is freed as soon as the next one exists, and each batch of a stack is
-        multiplied on its own, so its rows get the bits the batch alone gets.
+        order, for a backward pass. Without one no cache is kept, so each
+        activation is freed as soon as the next one exists. Either way each
+        batch of a stack gets the bits a forward of that batch alone gives.
         ``x`` is never written: every ReLU zeroes, in place, the normalization
         output made just before it in this call (the latent is copied first
         when a ReLU follows it).
@@ -213,7 +212,7 @@ class DetectorModel:
         bn_i = 0
         for _name, kind, layer in self.blocks:
             if kind == "linear":
-                x, cache = layer.forward(x, per_batch=tape is None)
+                x, cache = layer.forward(x)
             elif kind == "bn":
                 x, cache = layer.forward(x, self._bn_behavior(bn_i, mode))
                 latent = x
@@ -232,7 +231,7 @@ class DetectorModel:
         """The head's score pair for a (rows, outputs) network output."""
         if self.head == HEAD_DSVDD:
             return dsvdd_scores(out, self.center, self.inverse_eps)
-        return bce_scores(out[:, 0])
+        return bce_scores(out[:, 0] + self.offset)
 
     def _chunked(self, x: np.ndarray, keep) -> list:
         """``keep(output rows, latent rows)`` of one forward over a (batch,
@@ -303,10 +302,11 @@ class DetectorModel:
             if not self.center_frozen:
                 grads["center"][...] = -2.0 * (dl_ds[:, None] * diff).sum(axis=0)
         else:
-            t = out[:, 0]
+            t = out[:, 0] + self.offset
             sig_pos = 1.0 / (1.0 + np.exp(-np.clip(t, -700, 700)))
             dl_dt = ((1.0 - y) * sig_pos - y * (1.0 - sig_pos)) / b
             g_out = dl_dt[:, None]
+            grads["offset"][...] = dl_dt.sum()
 
         grad = g_out.reshape(stacked_shape)
         for (name, kind, layer), cache in zip(reversed(self.blocks), reversed(tape)):
@@ -331,7 +331,7 @@ class DetectorModel:
         self.forward(as_batch(x), BN_BATCH, tape)
         caches = {name: cache for (name, _kind, _layer), cache in zip(self.blocks, tape)}
         for name, layer in self.active_norms():
-            _mode, _xhat, _inv, mean, var = caches[name]
+            _mode, _xc, _inv, mean, var = caches[name]
             layer.frozen_mean = mean[0]
             layer.frozen_var = var
 

@@ -4,9 +4,9 @@ with batch-computed statistics, reverse-mode gradients, and Adam.
 All activations are float64 numpy arrays of shape ``(..., batch, features)``:
 either one ``(batch, features)`` batch or a ``(tasks, batch, features)`` stack
 of equally sized batches. Batch normalization takes its statistics per batch
-along the row axis (``axis=-2``), so a stack is normalized as a loop over its
-batches would be (bit for bit when ``Linear`` multiplies per batch);
-parameter gradients are summed over every row of the stack.
+along the row axis (``axis=-2``) and ``Linear`` multiplies per batch, so each
+batch of a stack gets the bits it gets alone; parameter gradients are summed
+over every row of the stack.
 Forward passes return an ``(output, cache)`` pair; the cache is call-local
 and no forward or backward pass mutates a layer, so a trained model can score
 concurrent batches. A layer names its parameter attributes in ``PARAMS``; its
@@ -49,52 +49,39 @@ def as_batch(x, stacked: bool = False) -> np.ndarray:
     return arr
 
 
-def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_sums(a: np.ndarray) -> np.ndarray:
     """Column sums over the row axis (per batch of a stack), shape
     (..., features); a ones-vector product runs faster than ``sum(axis=-2)``."""
-    return np.matmul(np.ones(a.shape[-2], dtype=DTYPE), a, out=out)
+    return np.matmul(np.ones(a.shape[-2], dtype=DTYPE), a)
 
 
 class Linear:
-    """Affine map ``y = x @ W.T + b`` with W of shape (out, in).
-
-    Weights are initialized uniformly in +-sqrt(6 / (fan_in + fan_out)),
-    biases at zero.
+    """Bias-free map ``y = x @ W.T``, W of shape (out, in) drawn uniformly in
+    +-sqrt(6 / (fan_in + fan_out)). The normalization layer after it absorbs
+    a bias: its mean subtraction, or ``beta`` in identity mode. (The
+    classifier head, which has none after its last layer, owns an offset.)
     """
 
-    PARAMS = ("weight", "bias")
+    PARAMS = ("weight",)
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.weight = rng.uniform(-limit, limit, size=(out_dim, in_dim)).astype(DTYPE)
-        self.bias = np.zeros(out_dim, dtype=DTYPE)
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def forward(self, x: np.ndarray, per_batch: bool = False):
-        """Output and cache. A stack is multiplied in one product over all
-        its rows, or with ``per_batch`` in one product per batch: a BLAS may
-        pick its kernel, and so its summation order, by the number of rows,
-        and only per-batch products give every row the bits it gets when its
-        batch is multiplied alone."""
+    def forward(self, x: np.ndarray):
+        """Output and cache. A stack takes one product per batch: a BLAS may
+        pick its kernel, and so its summation order, by the number of rows."""
         if x.shape[-1] != self.in_dim:
-            raise ValueError(
-                f"linear layer expects {self.in_dim} input features, got {x.shape[-1]}"
-            )
-        if per_batch:
-            out = np.matmul(x, self.weight.T)
-            out += self.bias
-            return out, x
-        rows = x.reshape(-1, self.in_dim) @ self.weight.T
-        rows += self.bias
-        return rows.reshape(*x.shape[:-1], self.out_dim), x
+            raise ValueError(f"linear layer expects {self.in_dim} features, got {x.shape[-1]}")
+        return np.matmul(x, self.weight.T), x
 
-    def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray, g_bias: np.ndarray):
-        """Input gradient; writes the parameter gradients into ``g_weight``, ``g_bias``."""
+    def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray):
+        """Input gradient; writes the weight gradient into ``g_weight``."""
         x = cache.reshape(-1, self.in_dim)
         rows = grad.reshape(-1, self.out_dim)
         np.matmul(rows.T, x, out=g_weight)
-        _row_sums(rows, out=g_bias)
         return (rows @ self.weight).reshape(cache.shape)
 
 
@@ -133,41 +120,40 @@ class BatchNorm:
         if mode == BN_BATCH:
             b = x.shape[-2]
             if b < 2:
-                raise BatchTooSmallError(
-                    f"batch statistics need at least 2 rows, got {b}"
-                )
+                raise BatchTooSmallError(f"batch statistics need at least 2 rows, got {b}")
             # one centering pass; the biased variance comes from the centered rows
             mean = _row_sums(x)[..., None, :] / b
-            xhat = x - mean
-            var = np.einsum("...ij,...ij->...j", xhat, xhat) / b
+            xc = x - mean
+            var = np.einsum("...ij,...ij->...j", xc, xc) / b
             inv = (1.0 / np.sqrt(var + self.eps))[..., None, :]
-            xhat *= inv
-            cache = (BN_BATCH, xhat, inv, mean, var)
+            cache = (BN_BATCH, xc, inv, mean, var)
         elif mode == BN_FROZEN:
             if self.frozen_mean is None:
                 raise RuntimeError("frozen statistics requested but none were captured")
+            xc = x - self.frozen_mean
             inv = 1.0 / np.sqrt(self.frozen_var + self.eps)
-            xhat = x - self.frozen_mean
-            xhat *= inv
-            cache = (BN_FROZEN, xhat, inv)
-        elif mode == BN_IDENTITY:
-            xhat = x
-            cache = (BN_IDENTITY, x, None)
+            cache = (mode, xc, inv)
+        elif mode == BN_IDENTITY:  # no normalization: the scale is gamma alone
+            xc, inv = x, 1.0
+            cache = (mode, xc, inv)
         else:
             raise ValueError(f"unknown batchnorm mode {mode!r}")
-        out = self.gamma * xhat
+        # one per-feature scale; the normalized rows xhat = xc * inv are never formed
+        out = xc * (self.gamma * inv)
         out += self.beta
         return out, cache
 
     def backward(self, grad: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray):
         """Input gradient, written over ``grad``; writes the parameter
         gradients into ``g_gamma``, ``g_beta``."""
-        mode, xhat, inv = cache[:3]
-        # per-batch sums; the parameter gradients add them over the stack
+        mode, xc, inv = cache[:3]
+        # per-batch sums of grad and of grad * xhat; the parameter gradients
+        # add them over the stack
         g_sum = _row_sums(grad)[..., None, :]
-        gx_sum = np.einsum("...ij,...ij->...j", grad, xhat)[..., None, :]
+        gx_sum = np.einsum("...ij,...ij->...j", grad, xc)[..., None, :] * inv
         gx_sum.reshape(-1, self.dim).sum(axis=0, out=g_gamma)
         g_sum.reshape(-1, self.dim).sum(axis=0, out=g_beta)
+        scale = self.gamma * inv
         if mode == BN_BATCH:
             # mean and variance depend on every row of the batch: full
             # batch-coupled Jacobian, (gamma * inv / b) * (b * grad - g_sum -
@@ -175,12 +161,9 @@ class BatchNorm:
             b = grad.shape[-2]
             grad *= b
             grad -= g_sum
-            grad -= xhat * gx_sum
-            grad *= self.gamma * inv / b
-            return grad
-        grad *= self.gamma
-        if mode == BN_FROZEN:
-            grad *= inv
+            grad -= xc * (inv * gx_sum)
+            scale /= b
+        grad *= scale
         return grad
 
 

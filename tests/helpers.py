@@ -89,7 +89,7 @@ def smooth_random_instance(
         for name, p in model.params().items():
             if name.endswith("gamma"):
                 p += rng.normal(0.0, 0.1, p.shape)
-            elif name.endswith(("beta", "bias", "center")):
+            elif name.endswith(("beta", "center", "offset")):
                 p += rng.normal(0.0, 0.3, p.shape)
         rows = (batch,) if tasks is None else (tasks, batch)
         x = rng.normal(size=(*rows, 3))
@@ -182,12 +182,13 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def reference_linear(layer, x: np.ndarray, grad: np.ndarray):
-    """(output, input gradient, weight gradient, bias gradient) of a Linear layer."""
+    """(output, input gradient, weight gradient) of a Linear layer; a stack's
+    output is one product per batch."""
+    out = np.stack([batch @ layer.weight.T for batch in x.reshape(-1, *x.shape[-2:])])
     rows_in = x.reshape(-1, layer.in_dim)
-    out = (rows_in @ layer.weight.T + layer.bias).reshape(*x.shape[:-1], layer.out_dim)
     rows = grad.reshape(-1, layer.out_dim)
     g_x = (rows @ layer.weight).reshape(x.shape)
-    return out, g_x, rows.T @ rows_in, _column_sums(rows)
+    return out.reshape(*x.shape[:-1], layer.out_dim), g_x, rows.T @ rows_in
 
 
 def reference_batchnorm(layer, x: np.ndarray, mode: str, grad: np.ndarray):
@@ -199,23 +200,21 @@ def reference_batchnorm(layer, x: np.ndarray, mode: str, grad: np.ndarray):
         centered = x - mean
         var = np.einsum("...ij,...ij->...j", centered, centered) / b
         inv = (1.0 / np.sqrt(var + layer.eps))[..., None, :]
-        xhat = centered * inv
     elif mode == "frozen":
+        centered = x - layer.frozen_mean
         inv = 1.0 / np.sqrt(layer.frozen_var + layer.eps)
-        xhat = (x - layer.frozen_mean) * inv
     else:
-        xhat = x
-    out = layer.gamma * xhat + layer.beta
+        centered, inv = x, 1.0
+    # the normalized rows are centered * inv; the scale gamma * inv is applied at once
+    out = centered * (layer.gamma * inv) + layer.beta
     g_sum = _column_sums(grad)[..., None, :]
-    gx_sum = np.einsum("...ij,...ij->...j", grad, xhat)[..., None, :]
+    gx_sum = np.einsum("...ij,...ij->...j", grad, centered)[..., None, :] * inv
     g_gamma = gx_sum.reshape(-1, layer.dim).sum(axis=0)
     g_beta = g_sum.reshape(-1, layer.dim).sum(axis=0)
     if mode == "batch":
-        g_x = (layer.gamma * inv / b) * (b * grad - g_sum - xhat * gx_sum)
-    elif mode == "frozen":
-        g_x = grad * layer.gamma * inv
+        g_x = (layer.gamma * inv / b) * (b * grad - g_sum - centered * (inv * gx_sum))
     else:
-        g_x = grad * layer.gamma
+        g_x = grad * (layer.gamma * inv)
     return out, g_x, g_gamma, g_beta
 
 

@@ -157,6 +157,13 @@ class TestTrain:
         code = main(["train", "--config", str(tmp_path / "none.toml"), "--out", str(tmp_path / "m")])
         assert code == 2
 
+    def test_config_that_is_not_utf8_is_config_error_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "latin1.toml"
+        config.write_bytes(TINY_CONFIG.encode() + "# café\n".encode("latin-1"))
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"config file {config} is not UTF-8" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_appends_record(self, tiny_config, tmp_path, capsys):
@@ -381,6 +388,52 @@ class TestEval:
     def test_missing_checkpoint(self, tiny_config, tmp_path, capsys):
         code = main(["eval", "--config", str(tiny_config), "--model", str(tmp_path / "no.ckpt")])
         assert code == 2
+
+    def test_checkpoint_with_linear_biases_is_refused(self, tiny_config, tmp_path, capsys):
+        # a 0.2.0 checkpoint lists a bias after every linear weight
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        self.edit_header(
+            ckpt, lambda head: head["params"].insert(1, ["lin0.bias", [8]]), bytes(8 * 8)
+        )
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} lists parameters" in err and "lin0.bias" in err
+
+
+PATH_CASES = (
+    "config-is-dir", "model-is-dir", "train-out-is-dir", "eval-out-is-dir",
+    "train-out-under-file", "gen-data-out-under-file",
+)
+
+
+@pytest.mark.parametrize("case", PATH_CASES)
+def test_unusable_path_is_exit_two_before_training(case, tiny_config, tmp_path, monkeypatch, capsys):
+    # a directory where a file is read or written, or a regular file where a
+    # directory must be made
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    plain = tmp_path / "plain"
+    plain.write_text("a regular file\n")
+    ckpt = tmp_path / "m.ckpt"
+    if case == "eval-out-is-dir":
+        assert main(["train", "--config", str(tiny_config), "--out", str(ckpt)]) == 0
+    argv = {
+        "config-is-dir": ["train", "--config", str(folder), "--out", str(ckpt)],
+        "model-is-dir": ["eval", "--config", str(tiny_config), "--model", str(folder)],
+        "train-out-is-dir": ["train", "--config", str(tiny_config), "--out", str(folder)],
+        "eval-out-is-dir": [
+            "eval", "--config", str(tiny_config), "--model", str(ckpt), "--out", str(folder)
+        ],
+        "train-out-under-file": ["train", "--config", str(tiny_config), "--out", str(plain / "m")],
+        "gen-data-out-under-file": ["gen-data", "--out", str(plain / "data")],
+    }[case]
+    capsys.readouterr()
+    calls = spy_on(monkeypatch, "train")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 class TestAblate:

@@ -207,7 +207,7 @@ class TestStackedScoring:
         if head == "dsvdd":
             want = dsvdd_scores(out, model.center, model.inverse_eps)
         else:
-            want = bce_scores(out[:, 0])
+            want = bce_scores(out[:, 0] + model.offset)
         assert_same_bits(sv.s, want.s)
         assert_same_bits(sv.a, want.a)
         assert_same_bits(model.latent_batch(x), latent)

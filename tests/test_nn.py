@@ -29,31 +29,25 @@ def backward(layer, grad, cache):
     return layer.backward(grad, cache, *grads.values()), grads
 
 
-def make_linear(weight, bias):
+def make_linear(weight):
     lin = Linear(len(weight[0]), len(weight), np.random.default_rng(0))
     lin.weight[...] = weight
-    lin.bias[...] = bias
     return lin
 
 
 class TestLinearForward:
     def test_identity_weight(self):
-        lin = make_linear(np.eye(2), np.zeros(2))
+        lin = make_linear(np.eye(2))
         out, _ = lin.forward(np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(out, [[3.0, 4.0]])
 
-    def test_zero_weight_passes_bias(self):
-        lin = make_linear(np.zeros((2, 2)), np.array([1.0, 2.0]))
-        out, _ = lin.forward(np.array([[5.0, -3.0], [0.1, 0.2]]))
-        np.testing.assert_allclose(out, [[1.0, 2.0], [1.0, 2.0]])
-
     def test_hand_product(self):
-        lin = make_linear(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+        lin = make_linear(np.array([[1.0, 2.0], [3.0, 4.0]]))
         out, _ = lin.forward(np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(out, [[3.0, 7.0]])
 
     def test_dimension_error(self):
-        lin = make_linear(np.eye(2), np.zeros(2))
+        lin = make_linear(np.eye(2))
         with pytest.raises(ValueError):
             lin.forward(np.ones((3, 5)))
 
@@ -144,7 +138,7 @@ class TestBackwardGradients:
         return float((out * proj).sum())
 
     def test_linear_identity_passes_grad(self):
-        lin = make_linear(np.eye(3), np.zeros(3))
+        lin = make_linear(np.eye(3))
         _, cache = lin.forward(np.ones((2, 3)))
         g = np.arange(6.0).reshape(2, 3)
         gx, _ = backward(lin, g, cache)
@@ -162,9 +156,8 @@ class TestBackwardGradients:
 
         out, cache = lin.forward(x)
         gx, grads = backward(lin, proj, cache)
-        n_w, n_b, n_x = numeric_grad(loss, [lin.weight, lin.bias, x])
+        n_w, n_x = numeric_grad(loss, [lin.weight, x])
         assert max_rel_error(grads["weight"], n_w) <= REL_TOL
-        assert max_rel_error(grads["bias"], n_b) <= REL_TOL
         assert max_rel_error(gx, n_x) <= REL_TOL
 
     @pytest.mark.parametrize("seed, tasks", seeds_and_stack(6))

@@ -4,6 +4,7 @@ looks up from outside the package."""
 
 import importlib
 import importlib.util
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import batchad
 from batchad.model import Architecture, DetectorModel
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -47,3 +49,9 @@ def test_headline_blocks_carry_the_traced_names():
 @pytest.mark.parametrize("name", batchad.__all__)
 def test_exported_name_is_importable(name):
     assert hasattr(batchad, name)
+
+
+def test_package_version_is_the_project_version():
+    # records and checkpoints carry ``__version__``; the build reads pyproject.toml
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == batchad.__version__
