@@ -218,6 +218,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    if args.out:
+        _output_file(args.out)
     model = load_checkpoint(args.model)
     train_meta, test_meta = build_metasets(cfg)
     _check_side(test_meta, "test", "evaluation")
@@ -315,6 +317,8 @@ def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
+    if args.out:
+        _output_file(args.out)
     plan = _ablate_plan(args.suite, cfg)
     for train_cfg, train_meta, test_meta, _ in plan:
         _check_training_side(train_meta, train_cfg)

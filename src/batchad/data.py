@@ -159,18 +159,28 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     """Read a delimited file into (train meta-set, test meta-set).
 
     Without a timestamp column the whole file forms a single training pool and
-    the test side is ``None``. Unparseable or non-finite rows, and malformed
-    CSV, abort the load with their line numbers; anomaly detectors are too
-    sensitive to imputation for silent repair to be safe.
+    the test side is ``None``. Unparseable or non-finite rows, malformed CSV
+    and bytes that are not UTF-8 abort the load with their line numbers;
+    anomaly detectors are too sensitive to imputation for silent repair to
+    be safe.
     """
     path = Path(source.path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=source.delimiter)
         try:
             header = next(reader, None)
             rows = list(reader)
         except csv.Error as exc:
             raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # the streaming decoder only knows its chunk: find the line in the file
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ConfigError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from None
+            raise
     if header is None:
         raise ConfigError(f"{path}: empty file")
 

@@ -198,15 +198,20 @@ class DetectorModel:
         order, for a backward pass. Without one no cache is kept, so each
         activation is freed as soon as the next one exists. Either way each
         batch of a stack gets the bits a forward of that batch alone gives.
-        ``x`` is never written: every ReLU zeroes, in place, the normalization
-        output made just before it in this call (the latent is copied first
-        when a ReLU follows it).
+        ``x`` is never written. Each batch norm centers, in place, the
+        ``Linear`` output made just before it in this call (a first one, with
+        ``input_bn``, a copy of ``x``); without a tape it also writes its
+        output there, so a forward allocates one activation per ``Linear``.
+        Every ReLU zeroes, in place, the normalization output made just before
+        it (the latent is copied first when a ReLU follows it).
         """
         x = as_batch(x, stacked=True)
         if x.shape[-1] != self.arch.input_dim:
             raise ValueError(
                 f"model expects {self.arch.input_dim} features, got {x.shape[-1]}"
             )
+        if self.arch.input_bn:  # the first batch norm would center the caller's rows
+            x = x.copy()
         mode = self.bn_mode if mode is None else mode
         latent = None
         bn_i = 0
@@ -214,7 +219,8 @@ class DetectorModel:
             if kind == "linear":
                 x, cache = layer.forward(x)
             elif kind == "bn":
-                x, cache = layer.forward(x, self._bn_behavior(bn_i, mode))
+                out = x if tape is None else None  # a cache keeps the centered rows
+                x, cache = layer.forward(x, self._bn_behavior(bn_i, mode), out)
                 latent = x
                 bn_i += 1
             else:
@@ -309,9 +315,13 @@ class DetectorModel:
             grads["offset"][...] = dl_dt.sum()
 
         grad = g_out.reshape(stacked_shape)
+        # nothing reads the input gradient of a first linear layer
+        first_linear = self.blocks[0][2] if self.blocks[0][1] == "linear" else None
         for (name, kind, layer), cache in zip(reversed(self.blocks), reversed(tape)):
             if kind == "relu":
                 grad = relu_backward(grad, cache)
+            elif layer is first_linear:
+                layer.weight_grad(grad, cache, grads[f"{name}.weight"])
             else:
                 grad = layer.backward(grad, cache, *(grads[f"{name}.{p}"] for p in layer.PARAMS))
         return loss, grad_theta

@@ -15,11 +15,14 @@ into the arrays it is given (views of one flat gradient vector, in a model).
 
 Ownership: to save full-size temporaries, passes work in place, but only on
 arrays the caller hands over for that purpose. ``relu_forward`` zeroes its
-input in place and returns it; ``BatchNorm.backward`` and ``relu_backward``
-overwrite the gradient they receive and return it. ``Linear`` and
-``BatchNorm`` forward passes and ``Linear.backward`` never write their
-inputs. No pass writes a parameter, a cache or the frozen statistics, and no
-layer keeps a buffer between calls. A model hands a ReLU only the
+input in place and returns it; ``BatchNorm.forward`` centers its input in
+place, keeps it as its cache, and writes its output into ``out`` when given
+(the input itself, when no backward pass follows); ``BatchNorm.backward``
+and ``relu_backward`` overwrite the gradient they receive and return it.
+``Linear`` passes never write their inputs. No pass writes a parameter, an
+earlier pass's cache or the frozen statistics, and no layer keeps a buffer
+between calls. A model hands a batch norm only a ``Linear`` output made in
+the same call or its own copy of the caller's input, a ReLU only the
 normalization output it just made, and a backward pass only a gradient it
 just computed.
 """
@@ -77,12 +80,16 @@ class Linear:
             raise ValueError(f"linear layer expects {self.in_dim} features, got {x.shape[-1]}")
         return np.matmul(x, self.weight.T), x
 
+    def weight_grad(self, grad: np.ndarray, cache, g_weight: np.ndarray) -> None:
+        """Write the weight gradient into ``g_weight``; the whole backward
+        pass of a first layer, whose input gradient nothing reads."""
+        x = cache.reshape(-1, self.in_dim)
+        np.matmul(grad.reshape(-1, self.out_dim).T, x, out=g_weight)
+
     def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray):
         """Input gradient; writes the weight gradient into ``g_weight``."""
-        x = cache.reshape(-1, self.in_dim)
-        rows = grad.reshape(-1, self.out_dim)
-        np.matmul(rows.T, x, out=g_weight)
-        return (rows @ self.weight).reshape(cache.shape)
+        self.weight_grad(grad, cache, g_weight)
+        return (grad.reshape(-1, self.out_dim) @ self.weight).reshape(cache.shape)
 
 
 class BatchNorm:
@@ -101,8 +108,10 @@ class BatchNorm:
       final parameters over the last task, in content-key order, of the final
       iteration; only the positions ``bn_mask`` leaves on get statistics.
 
-    A batch-mode cache carries the batch's mean and variance, which is where
-    the trainer reads the frozen statistics from.
+    The forward pass centers the array it is handed in place and caches it;
+    it writes the output into ``out`` when given, as a numpy ufunc does, else
+    into a new array. A batch-mode cache carries the batch's mean and
+    variance, which is where the trainer reads the frozen statistics from.
     """
 
     PARAMS = ("gamma", "beta")
@@ -116,21 +125,21 @@ class BatchNorm:
         self.frozen_mean = None
         self.frozen_var = None
 
-    def forward(self, x: np.ndarray, mode: str = BN_BATCH):
+    def forward(self, x: np.ndarray, mode: str = BN_BATCH, out: np.ndarray | None = None):
         if mode == BN_BATCH:
             b = x.shape[-2]
             if b < 2:
                 raise BatchTooSmallError(f"batch statistics need at least 2 rows, got {b}")
             # one centering pass; the biased variance comes from the centered rows
             mean = _row_sums(x)[..., None, :] / b
-            xc = x - mean
+            xc = np.subtract(x, mean, out=x)
             var = np.einsum("...ij,...ij->...j", xc, xc) / b
             inv = (1.0 / np.sqrt(var + self.eps))[..., None, :]
             cache = (BN_BATCH, xc, inv, mean, var)
         elif mode == BN_FROZEN:
             if self.frozen_mean is None:
                 raise RuntimeError("frozen statistics requested but none were captured")
-            xc = x - self.frozen_mean
+            xc = np.subtract(x, self.frozen_mean, out=x)
             inv = 1.0 / np.sqrt(self.frozen_var + self.eps)
             cache = (mode, xc, inv)
         elif mode == BN_IDENTITY:  # no normalization: the scale is gamma alone
@@ -139,7 +148,7 @@ class BatchNorm:
         else:
             raise ValueError(f"unknown batchnorm mode {mode!r}")
         # one per-feature scale; the normalized rows xhat = xc * inv are never formed
-        out = xc * (self.gamma * inv)
+        out = np.multiply(xc, self.gamma * inv, out=out)
         out += self.beta
         return out, cache
 

@@ -165,6 +165,18 @@ class TestTrain:
         assert f"config file {config} is not UTF-8" in capsys.readouterr().err
 
 
+    def test_data_that_is_not_utf8_is_config_error_naming_its_line(self, tmp_path, capsys):
+        main(["gen-data", "--preset", "gaussian8", "--out", str(tmp_path)])
+        data = tmp_path / "metaset.csv"
+        data.write_bytes(data.read_bytes() + "0,0,café,1,2,3,4,5,6,7\n".encode("latin-1"))
+        lines = data.read_bytes().count(b"\n")
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{data}"\ntrain_bins = 4\niterations = 2\n')
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"{data}: line {lines} is not UTF-8" in capsys.readouterr().err
+
+
 class TestEval:
     def test_eval_appends_record(self, tiny_config, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -404,7 +416,7 @@ class TestEval:
 
 PATH_CASES = (
     "config-is-dir", "model-is-dir", "train-out-is-dir", "eval-out-is-dir",
-    "train-out-under-file", "gen-data-out-under-file",
+    "ablate-out-is-dir", "train-out-under-file", "gen-data-out-under-file",
 )
 
 
@@ -426,14 +438,17 @@ def test_unusable_path_is_exit_two_before_training(case, tiny_config, tmp_path, 
         "eval-out-is-dir": [
             "eval", "--config", str(tiny_config), "--model", str(ckpt), "--out", str(folder)
         ],
+        "ablate-out-is-dir": [
+            "ablate", "--suite", "pi", "--config", str(tiny_config), "--out", str(folder)
+        ],
         "train-out-under-file": ["train", "--config", str(tiny_config), "--out", str(plain / "m")],
         "gen-data-out-under-file": ["gen-data", "--out", str(plain / "data")],
     }[case]
     capsys.readouterr()
-    calls = spy_on(monkeypatch, "train")
+    trained, evaluated = spy_on(monkeypatch, "train"), spy_on(monkeypatch, "evaluate")
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert calls == []
+    assert trained == evaluated == []
 
 
 class TestAblate:

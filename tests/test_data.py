@@ -129,6 +129,16 @@ class TestLoadTabular:
         with pytest.raises(ValueError, match=r"d\.csv: malformed CSV at line 3: field larger"):
             load_tabular(TabularSource(path=path, train_bins=1))
 
+    @pytest.mark.parametrize("rows_before", [1, 2000])
+    def test_byte_that_is_not_utf8_is_config_error_naming_the_line(self, tmp_path, rows_before):
+        # 2000 rows put the byte past the first chunk the file reader decodes
+        rows = [f"0,0,{i},2" for i in range(rows_before)] + ["1,0,3,4", "1,0,café,4"]
+        path = tmp_path / "d.csv"
+        path.write_bytes("\n".join(["bin,label,f0,f1"] + rows).encode("latin-1"))
+        line = rows_before + 3
+        with pytest.raises(ConfigError, match=rf"d\.csv: line {line} is not UTF-8"):
+            load_tabular(TabularSource(path=str(path), train_bins=1))
+
     def test_non_finite_rejected(self, tmp_path):
         rows = ["0,0,1,2", "0,0,nan,2", "1,0,3,4"]
         path = write_csv(tmp_path / "d.csv", rows)

@@ -172,11 +172,12 @@ class TestBackwardGradients:
         x = rng.normal(size=shape)
         proj = rng.normal(size=shape)
 
+        # forward centers the rows it is handed and backward overwrites the
+        # gradient it receives; the loss re-reads x and proj
         def loss():
-            return float((bn.forward(x)[0] * proj).sum())
+            return float((bn.forward(x.copy())[0] * proj).sum())
 
-        _, cache = bn.forward(x)
-        # backward overwrites the gradient it receives; the loss re-reads proj
+        _, cache = bn.forward(x.copy())
         gx, grads = backward(bn, proj.copy(), cache)
         n_g, n_b, n_x = numeric_grad(loss, [bn.gamma, bn.beta, x])
         assert max_rel_error(grads["gamma"], n_g) <= REL_TOL
@@ -234,6 +235,16 @@ class TestFullNetworkGradients:
         numeric = numeric_grad(loss, list(params.values()))
         for (name, _), n in zip(params.items(), numeric):
             assert max_rel_error(grads[name], n) <= REL_TOL, name
+
+    @pytest.mark.parametrize("head", ["dsvdd", "bce"])
+    def test_first_linear_layer_computes_no_input_gradient(self, head, monkeypatch):
+        model, x, y = smooth_random_instance(3, head=head, tasks=2)
+        want = model.loss_and_grads(x, y)
+        lin0 = model.blocks[0][2]
+        monkeypatch.setattr(lin0, "backward", lambda *a: pytest.fail("input gradient asked for"))
+        loss, grad_theta = model.loss_and_grads(x, y)
+        assert loss == want[0]
+        assert grad_theta.tobytes() == want[1].tobytes()
 
 
 class TestAdam:
