@@ -285,7 +285,7 @@ def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
         # the plain one-class objective is trained on uncontaminated tasks
         cells = [{"loss": "meta_oe", "pi": cfg.pi}, {"loss": "one_class", "pi": 1.0}]
     elif suite == "bn-position":  # each position alone, then all of them
-        n = cfg.architecture(1).n_bn_positions(cfg.head)
+        n = cfg.architecture(1).n_bn_positions()
         masks = [tuple(int(i == p) for i in range(n)) for p in range(n)] + [(1,) * n]
         cells = [{"bn_position": p if p < n else "all", "bn_mask": m} for p, m in enumerate(masks)]
     if suite == "num-classes":

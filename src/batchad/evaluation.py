@@ -163,6 +163,9 @@ def evaluate(
     index, rotation, run), so results are independent of execution order.
     """
     ratios = check_ratios(ratios, batch_size)
+    for name, count in (("runs", runs), ("batches_per_run", batches_per_run)):
+        if count < 1:
+            raise ConfigError(f"{name} must be at least 1, got {count}")
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))
     n_scored = 0
     for (ri, ratio), rotation, run in product(enumerate(ratios), range(meta_test.k), range(runs)):

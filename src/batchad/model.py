@@ -50,63 +50,92 @@ STACK_ROWS = 4096
 CHECKPOINT_MAGIC = b"batchad-checkpoint v1\n"
 # the only per-layer statistics a checkpoint may carry
 STAT_FIELDS = ("frozen_mean", "frozen_var")
+# the Architecture fields a checkpoint header keeps as top-level keys; the
+# shape fields nest under "arch"
+SETTING_FIELDS = ("head", "bn_mode", "bn_mask", "inverse_eps", "center_frozen")
 
 
 @dataclass(frozen=True)
 class Architecture:
-    """MLP shape: hidden widths, latent width, and optional input normalization."""
+    """A detector model, described and validated without building it: MLP
+    shape (hidden widths, latent width, optional input normalization), head,
+    and settings.
+
+    ``bn_mode`` is the scoring-time behavior of the active normalization
+    layers; ``bn_mask`` (None: all on) switches individual positions to
+    affine identity (the layer-position ablation). ``inverse_eps`` guards the
+    distance head's inverse score; ``center_frozen`` keeps its center fixed
+    in training. Construction is the only check of these settings: a wrong
+    type or value raises ``TypeError`` or ``ValueError``. ``hidden`` and
+    ``bn_mask`` are kept as tuples of the given entries.
+    """
 
     input_dim: int
     hidden: tuple[int, ...] = (64, 64, 64)
     latent_dim: int = 32
     input_bn: bool = False
+    head: str = HEAD_DSVDD
+    bn_mode: str = BN_BATCH
+    bn_mask: tuple[int, ...] | None = None
+    inverse_eps: float = DEFAULT_INVERSE_EPS
+    center_frozen: bool = False
 
     def __post_init__(self):
+        hidden = self.hidden
+        if not isinstance(hidden, (list, tuple)) or any(type(h) is not int for h in hidden):
+            raise TypeError(f"hidden must be a list of ints, got {hidden!r}")
+        object.__setattr__(self, "hidden", tuple(hidden))
+        for name in ("input_dim", "latent_dim"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("input_bn", "center_frozen"):
+            if type(getattr(self, name)) is not bool:
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.input_dim < 1 or self.latent_dim < 1:
             raise ValueError("dimensions must be positive")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
+        if self.head not in HEADS:
+            raise ValueError(f"unknown head {self.head!r}")
+        if self.bn_mode not in BN_MODES:
+            raise ValueError(f"unknown bn_mode {self.bn_mode!r}")
+        if self.bn_mask is not None:
+            if not isinstance(self.bn_mask, (list, tuple)):
+                raise TypeError(f"bn_mask must be a list, got {self.bn_mask!r}")
+            object.__setattr__(self, "bn_mask", tuple(self.bn_mask))
+            if any(m not in (0, 1) for m in self.bn_mask):
+                raise ValueError(f"bn_mask entries must be 0 or 1, got {list(self.bn_mask)}")
+            n_bn = self.n_bn_positions()
+            if len(self.bn_mask) != n_bn:
+                raise ValueError(f"bn_mask must have {n_bn} entries, got {len(self.bn_mask)}")
+        eps = self.inverse_eps
+        if not (isinstance(eps, (int, float)) and not isinstance(eps, bool) and 0 < eps < math.inf):
+            raise ValueError(f"inverse_eps must be positive and finite, got {eps!r}")
+        object.__setattr__(self, "inverse_eps", float(eps))
 
-    def n_bn_positions(self, head: str) -> int:
-        return int(self.input_bn) + len(self.hidden) + (1 if head == HEAD_DSVDD else 0)
+    def n_bn_positions(self) -> int:
+        return int(self.input_bn) + len(self.hidden) + (1 if self.head == HEAD_DSVDD else 0)
 
-    def n_params(self, head: str) -> int:
-        """Number of parameter values of a model of this shape, counted
-        without building it: linear weights, every gamma and beta, and the
-        head's center or logit offset."""
-        latent = self.latent_dim if head == HEAD_DSVDD else 0
+    def bn_on(self) -> tuple[bool, ...]:
+        """Per normalization position, whether ``bn_mask`` leaves it on."""
+        if self.bn_mask is None:
+            return (True,) * self.n_bn_positions()
+        return tuple(bool(m) for m in self.bn_mask)
+
+    def n_params(self) -> int:
+        """Number of parameter values of this model, counted without
+        building it: linear weights, every gamma and beta, and the head's
+        center or logit offset."""
+        latent = self.latent_dim if self.head == HEAD_DSVDD else 0
         widths = (self.input_dim, *self.hidden, latent or 1)
         linear = sum(a * b for a, b in zip(widths, widths[1:]))
         norms = self.input_bn * self.input_dim + sum(self.hidden) + latent
         return linear + 2 * norms + (latent or 1)
 
 
-def check_model_settings(
-    arch: Architecture, head: str, bn_mode: str, bn_mask
-) -> tuple[bool, ...]:
-    """The normalization mask of a model of this shape as booleans (all on
-    when ``bn_mask`` is None); raises ``ValueError`` for an unknown head or
-    ``bn_mode``, or a mask of the wrong length or with an entry other than 0
-    or 1. Builds nothing."""
-    if head not in HEADS:
-        raise ValueError(f"unknown head {head!r}")
-    if bn_mode not in BN_MODES:
-        raise ValueError(f"unknown bn_mode {bn_mode!r}")
-    if bn_mask is not None and any(m not in (0, 1) for m in bn_mask):
-        raise ValueError(f"bn_mask entries must be 0 or 1, got {list(bn_mask)}")
-    n_bn = arch.n_bn_positions(head)
-    mask = (True,) * n_bn if bn_mask is None else tuple(bool(m) for m in bn_mask)
-    if len(mask) != n_bn:
-        raise ValueError(f"bn_mask must have {n_bn} entries, got {len(mask)}")
-    return mask
-
-
 class DetectorModel:
-    """Layer stack plus head parameters.
-
-    ``bn_mode`` is the scoring-time behavior of the active normalization
-    layers; ``bn_mask`` switches individual positions to affine identity
-    (the layer-position ablation). Scoring never mutates the model, so a
+    """Layer stack plus head parameters of the model ``arch`` describes,
+    which holds every setting. Scoring never mutates the model, so a
     trained instance can be shared across concurrent workers.
 
     Once the layers have drawn their initial values, every parameter array
@@ -114,29 +143,11 @@ class DetectorModel:
     ``layout`` holds each array's ``(name, start, stop, shape)`` in it.
     """
 
-    def __init__(
-        self,
-        arch: Architecture,
-        head: str = HEAD_DSVDD,
-        rng: np.random.Generator | None = None,
-        bn_mode: str = BN_BATCH,
-        bn_mask: tuple[bool, ...] | None = None,
-        inverse_eps: float = DEFAULT_INVERSE_EPS,
-        center_frozen: bool = False,
-    ):
-        self.bn_mask = check_model_settings(arch, head, bn_mode, bn_mask)
-        if not (isinstance(inverse_eps, (int, float)) and 0 < inverse_eps < math.inf):
-            raise ValueError(f"inverse_eps must be positive and finite, got {inverse_eps!r}")
-        if not isinstance(center_frozen, bool):
-            raise TypeError(f"center_frozen must be a bool, got {center_frozen!r}")
+    def __init__(self, arch: Architecture, rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
-
         self.arch = arch
-        self.head = head
-        self.bn_mode = bn_mode
-        self.inverse_eps = float(inverse_eps)
-        self.center_frozen = center_frozen
+        self.bn_on = arch.bn_on()  # resolved once: forward reads it per block
 
         blocks: list[tuple[str, str, object]] = []
         if arch.input_bn:
@@ -147,16 +158,16 @@ class DetectorModel:
             blocks.append((f"bn{i}", "bn", BatchNorm(width)))
             blocks.append((f"relu{i}", "relu", None))
             prev = width
-        out_dim = arch.latent_dim if head == HEAD_DSVDD else 1
+        out_dim = arch.latent_dim if arch.head == HEAD_DSVDD else 1
         blocks.append(("lin_out", "linear", Linear(prev, out_dim, rng)))
-        if head == HEAD_DSVDD:
+        if arch.head == HEAD_DSVDD:
             blocks.append(("bn_out", "bn", BatchNorm(arch.latent_dim)))
         self.blocks = blocks
 
         # the head's own parameter: a latent center, or a scalar logit offset
-        self.center = np.zeros(arch.latent_dim, dtype=DTYPE) if head == HEAD_DSVDD else None
-        self.offset = np.zeros((), dtype=DTYPE) if head == HEAD_BCE else None
-        head_param = "center" if head == HEAD_DSVDD else "offset"
+        self.center = np.zeros(arch.latent_dim, dtype=DTYPE) if arch.head == HEAD_DSVDD else None
+        self.offset = np.zeros((), dtype=DTYPE) if arch.head == HEAD_BCE else None
+        head_param = "center" if arch.head == HEAD_DSVDD else "offset"
         owners = [
             (layer, attr, f"{name}.{attr}")
             for name, _kind, layer in blocks
@@ -185,7 +196,7 @@ class DetectorModel:
     # ----- forward / backward ----------------------------------------------
 
     def _bn_behavior(self, bn_index: int, mode: str) -> str:
-        return mode if self.bn_mask[bn_index] else BN_IDENTITY
+        return mode if self.bn_on[bn_index] else BN_IDENTITY
 
     def forward(self, x: np.ndarray, mode: str | None = None, tape: list | None = None):
         """Run the full stack on a (batch, features) batch or a (tasks, batch,
@@ -212,7 +223,7 @@ class DetectorModel:
             )
         if self.arch.input_bn:  # the first batch norm would center the caller's rows
             x = x.copy()
-        mode = self.bn_mode if mode is None else mode
+        mode = self.arch.bn_mode if mode is None else mode
         latent = None
         bn_i = 0
         for _name, kind, layer in self.blocks:
@@ -224,7 +235,7 @@ class DetectorModel:
                 latent = x
                 bn_i += 1
             else:
-                if bn_i == len(self.bn_mask):  # this ReLU would zero the latent
+                if bn_i == len(self.bn_on):  # this ReLU would zero the latent
                     latent = x.copy()
                 x, cache = relu_forward(x)
             if tape is not None:
@@ -235,8 +246,8 @@ class DetectorModel:
 
     def _scores(self, out: np.ndarray) -> ScoreVector:
         """The head's score pair for a (rows, outputs) network output."""
-        if self.head == HEAD_DSVDD:
-            return dsvdd_scores(out, self.center, self.inverse_eps)
+        if self.arch.head == HEAD_DSVDD:
+            return dsvdd_scores(out, self.center, self.arch.inverse_eps)
         return bce_scores(out[:, 0] + self.offset)
 
     def _chunked(self, x: np.ndarray, keep) -> list:
@@ -301,11 +312,11 @@ class DetectorModel:
 
         grad_theta = np.zeros_like(self.theta)
         grads = self.views(grad_theta)
-        if self.head == HEAD_DSVDD:
+        if self.arch.head == HEAD_DSVDD:
             diff = out - self.center
-            dl_ds = ((1.0 - y) - y / (scores.s + self.inverse_eps) ** 2) / b
+            dl_ds = ((1.0 - y) - y / (scores.s + self.arch.inverse_eps) ** 2) / b
             g_out = 2.0 * dl_ds[:, None] * diff
-            if not self.center_frozen:
+            if not self.arch.center_frozen:
                 grads["center"][...] = -2.0 * (dl_ds[:, None] * diff).sum(axis=0)
         else:
             t = out[:, 0] + self.offset
@@ -331,7 +342,7 @@ class DetectorModel:
     def active_norms(self) -> list[tuple[str, BatchNorm]]:
         """(name, layer) of every normalization position ``bn_mask`` leaves on."""
         norms = [(name, layer) for name, kind, layer in self.blocks if kind == "bn"]
-        return [norm for norm, on in zip(norms, self.bn_mask) if on]
+        return [norm for norm, on in zip(norms, self.bn_on) if on]
 
     def freeze_batch_stats(self, x: np.ndarray) -> None:
         """Fix the frozen-mode statistics of every active normalization layer
@@ -378,16 +389,9 @@ def save_checkpoint(model: DetectorModel, path) -> None:
         arrays += [getattr(layer, f) for _n, layer in model.active_norms() for f in STAT_FIELDS]
     else:
         stats = []
-    header = {
-        "arch": asdict(model.arch),
-        "head": model.head,
-        "bn_mode": model.bn_mode,
-        "bn_mask": [int(m) for m in model.bn_mask],
-        "inverse_eps": model.inverse_eps,
-        "center_frozen": model.center_frozen,
-        "params": params,
-        "stats": stats,
-    }
+    shape = asdict(model.arch)
+    header = {key: shape.pop(key) for key in SETTING_FIELDS}
+    header.update(arch=shape, bn_mask=[int(m) for m in model.bn_on], params=params, stats=stats)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
@@ -407,20 +411,14 @@ def load_checkpoint(path) -> DetectorModel:
 
     try:
         header = json.loads(header_line.decode())
-        arch = Architecture(**{**header["arch"], "hidden": tuple(header["arch"]["hidden"])})
-        # refuse before allocating: the header may describe a model far larger
-        # than the file, e.g. after a bit flip in a width
-        needed = arch.n_params(header["head"])
+        # refuse before allocating, and before checking the other settings:
+        # the header may describe a model far larger than the file, e.g.
+        # after a bit flip in a width
+        needed = Architecture(**header["arch"], head=header["head"]).n_params()
         if 8 * needed > len(blob):
             raise ValueError(f"arch needs {needed} values, the file holds {len(blob) // 8}")
-        model = DetectorModel(
-            arch,
-            head=header["head"],
-            bn_mode=header["bn_mode"],
-            bn_mask=header["bn_mask"],
-            inverse_eps=header["inverse_eps"],
-            center_frozen=header["center_frozen"],
-        )
+        settings = {key: header[key] for key in SETTING_FIELDS}
+        model = DetectorModel(Architecture(**header["arch"], **settings))
         listed_params, listed_stats = header["params"], header["stats"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
@@ -435,7 +433,7 @@ def load_checkpoint(path) -> DetectorModel:
         raise ValueError(
             f"checkpoint {path} lists statistics {listed_stats}, this model has none or {stats}"
         )
-    if model.bn_mode == BN_FROZEN and listed_stats != stats:
+    if model.arch.bn_mode == BN_FROZEN and listed_stats != stats:
         raise ValueError(f"checkpoint {path} is in frozen mode but lists no statistics")
 
     listed = listed_params + listed_stats

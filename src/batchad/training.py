@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import Architecture, DetectorModel, HEAD_DSVDD, check_model_settings
+from .model import Architecture, DetectorModel, HEAD_DSVDD
 from .nn import BN_BATCH, BN_FROZEN, BN_IDENTITY, Adam
 from .scores import LOSS_META_OE, LOSSES
 from .tasks import MetaDataset, normal_count, sample_iteration_tasks
@@ -71,26 +71,19 @@ class TrainConfig:
         normal_count(self.pi, self.batch_size)
         if self.tasks_per_iter < 1:
             raise ConfigError(f"tasks_per_iter must be at least 1, got {self.tasks_per_iter}")
-        # the model's own check, without building it
         try:
-            check_model_settings(self.architecture(1), self.head, self.bn_mode, self.bn_mask)
+            self.architecture(1)  # the model's own check, without building it
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def architecture(self, input_dim: int) -> Architecture:
+        """The detector this config trains, for ``input_dim`` features."""
         return Architecture(
             input_dim=input_dim,
-            hidden=tuple(self.hidden),
+            hidden=self.hidden,
             latent_dim=self.latent_dim,
             input_bn=self.input_bn,
-        )
-
-    def model(self, input_dim: int, rng: np.random.Generator | None = None) -> DetectorModel:
-        """An untrained detector for ``input_dim`` features."""
-        return DetectorModel(
-            self.architecture(input_dim),
             head=self.head,
-            rng=rng,
             bn_mode=self.bn_mode,
             bn_mask=self.bn_mask,
             center_frozen=self.center_frozen,
@@ -151,7 +144,7 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     """
     root = np.random.SeedSequence(cfg.seed)
     init_ss, task_ss = root.spawn(2)
-    model = cfg.model(meta.dim, rng=np.random.default_rng(init_ss))
+    model = DetectorModel(cfg.architecture(meta.dim), np.random.default_rng(init_ss))
     adam = Adam(model.theta, cfg.learning_rate)
     task_rng = np.random.default_rng(task_ss)
     # identity stays identity during training; frozen trains on batch stats

@@ -84,8 +84,8 @@ def smooth_random_instance(
 
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt])
-        arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4)
-        model = DetectorModel(arch, head=head, rng=rng)
+        arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4, head=head)
+        model = DetectorModel(arch, rng)
         for name, p in model.params().items():
             if name.endswith("gamma"):
                 p += rng.normal(0.0, 0.1, p.shape)

@@ -274,19 +274,26 @@ class TestEval:
             ("inverse_eps", -1e-6),
             ("inverse_eps", float("inf")),
             ("inverse_eps", "1e-6"),
+            ("inverse_eps", True),
             ("center_frozen", "no"),
             ("center_frozen", 0),
             ("bn_mask", ["0", 1, 1]),
             ("bn_mask", [2, 1, 1]),
+            ("input_dim", True),
+            ("hidden", [8, 8.0]),
+            ("latent_dim", "4"),
+            ("input_bn", "yes"),
         ],
         ids=str,
     )
     def test_bad_header_value_is_runtime_error(self, field, value, tiny_config, tmp_path, capsys):
         # each would load into a model whose scores are non-finite or not what
-        # the header seems to say
+        # the header seems to say; the shape fields sit under "arch"
         ckpt = tmp_path / "m.ckpt"
         main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
-        self.edit_header(ckpt, lambda head: head.update({field: value}))
+        self.edit_header(
+            ckpt, lambda h: (h["arch"] if field in h["arch"] else h).update({field: value})
+        )
         code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
         assert code == 3
         err = capsys.readouterr().err
@@ -326,8 +333,8 @@ class TestEval:
         config = tmp_path / "exp.toml"
         config.write_text(TINY_CONFIG + f'data_csv = "{tmp_path / "absent.csv"}"\n')
         ckpt = tmp_path / "m.ckpt"
-        arch = Architecture(input_dim=3, hidden=(8, 8), latent_dim=4)
-        save_checkpoint(DetectorModel(arch, bn_mode="frozen"), ckpt)
+        arch = Architecture(input_dim=3, hidden=(8, 8), latent_dim=4, bn_mode="frozen")
+        save_checkpoint(DetectorModel(arch), ckpt)
         code = main(["eval", "--config", str(config), "--model", str(ckpt)])
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from batchad.data import GaussianMetaSpec, generate_gaussian_metaset
-from batchad.errors import BatchTooSmallError, UndefinedMetricError
+from batchad.errors import BatchTooSmallError, ConfigError, UndefinedMetricError
 from batchad.evaluation import (
     auroc,
     collect_latents,
@@ -154,8 +154,10 @@ class TestScoreBatch:
 def scoring_model(head: str, mode: str) -> DetectorModel:
     """A model off its init values, scoring in ``mode``, frozen statistics set."""
     rng = np.random.default_rng(6)
-    arch = Architecture(input_dim=5, hidden=(16, 16), latent_dim=6, input_bn=True)
-    model = DetectorModel(arch, head=head, rng=rng, bn_mode=mode)
+    arch = Architecture(
+        input_dim=5, hidden=(16, 16), latent_dim=6, input_bn=True, head=head, bn_mode=mode
+    )
+    model = DetectorModel(arch, rng)
     model.theta += rng.normal(0.0, 0.2, model.theta.shape)
     model.freeze_batch_stats(rng.normal(size=(30, 5)))
     return model
@@ -205,7 +207,7 @@ class TestStackedScoring:
         out, latent = model.forward(x)
         sv = model.score_batch(x)
         if head == "dsvdd":
-            want = dsvdd_scores(out, model.center, model.inverse_eps)
+            want = dsvdd_scores(out, model.center, model.arch.inverse_eps)
         else:
             want = bce_scores(out[:, 0] + model.offset)
         assert_same_bits(sv.s, want.s)
@@ -257,8 +259,7 @@ class TestEvaluate:
             model = untrained_model(dim=4, seed=seed)
             kw = dict(ratios=[0.1], runs=2, batches_per_run=10, batch_size=30, seed=seed)
             adapted.append(evaluate(model, test_meta, **kw).per_ratio[0.1][0])
-            ident = untrained_model(dim=4, seed=seed)
-            ident.bn_mode = "identity"
+            ident = untrained_model(dim=4, seed=seed, bn_mode="identity")
             nulls.append(evaluate(ident, test_meta, **kw).per_ratio[0.1][0])
         assert 0.3 <= np.mean(nulls) <= 0.7
         assert np.mean(adapted) > 0.8
@@ -269,6 +270,14 @@ class TestEvaluate:
         a = evaluate(model, test_meta, ratios=[0.1, 0.2], runs=2, batches_per_run=3, seed=7)
         b = evaluate(model, test_meta, ratios=[0.1, 0.2], runs=2, batches_per_run=3, seed=7)
         assert a.per_ratio == b.per_ratio
+
+    @pytest.mark.parametrize(
+        "name, value", [("runs", 0), ("runs", -1), ("batches_per_run", 0)], ids=str
+    )
+    def test_count_below_one_is_config_error_naming_it(self, name, value, small_setup):
+        _, test_meta = small_setup
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1, got {value}"):
+            evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], **{name: value})
 
 
 class TestCollectLatents:

@@ -74,8 +74,10 @@ def model_and_inputs(head: str, input_bn: bool, mode: str):
     """A small model scoring in ``mode`` (frozen statistics set) plus a scoring
     batch that is a view into a larger caller array, and a labeled stack."""
     rng = np.random.default_rng(4)
-    arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4, input_bn=input_bn)
-    model = DetectorModel(arch, head=head, rng=rng, bn_mode=mode)
+    arch = Architecture(
+        input_dim=3, hidden=(6, 5), latent_dim=4, input_bn=input_bn, head=head, bn_mode=mode
+    )
+    model = DetectorModel(arch, rng)
     model.theta += rng.normal(0.0, 0.2, model.theta.shape)
     model.freeze_batch_stats(rng.normal(size=(9, 3)))
     holder = rng.normal(size=(2, 9, 3))
@@ -128,7 +130,7 @@ def test_forward_without_a_tape_gives_the_taped_values(head):
 def test_taped_stack_forward_gives_each_batch_its_own_bits(head, batch):
     # a BLAS may pick its kernel, and so the bits of a row, by the row count
     # of a product: a training stack must not be multiplied as one product
-    model = DetectorModel(Architecture(input_dim=8), head=head, rng=np.random.default_rng(5))
+    model = DetectorModel(Architecture(input_dim=8, head=head), np.random.default_rng(5))
     model.theta += np.random.default_rng(6).normal(0.0, 0.1, model.theta.shape)
     x = np.random.default_rng(7).normal(size=(5, batch, 8))
     stacked = model.forward(x, tape=[])

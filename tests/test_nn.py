@@ -1,5 +1,9 @@
 """Layer-level contracts: forward values, gradients, normalization behavior."""
 
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,7 +229,7 @@ class TestFullNetworkGradients:
         loss, grad_theta = model.loss_and_grads(x, y, loss_kind="one_class", mode=mode)
         # the one-class objective is the mean of s, whatever the labels say
         out, _latent = model.forward(x, mode)
-        assert loss == np.mean(dsvdd_scores(out, model.center, model.inverse_eps).s)
+        assert loss == np.mean(dsvdd_scores(out, model.center, model.arch.inverse_eps).s)
         grads = model.views(grad_theta)
         params = model.params()
 
@@ -280,8 +284,8 @@ class TestParameterLayout:
         "head, input_bn", [("dsvdd", False), ("bce", False), ("dsvdd", True)]
     )
     def test_params_are_views_of_theta_in_manifest_order(self, head, input_bn):
-        arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4, input_bn=input_bn)
-        model = DetectorModel(arch, head=head)
+        arch = Architecture(input_dim=3, hidden=(6, 5), latent_dim=4, input_bn=input_bn, head=head)
+        model = DetectorModel(arch)
         params = model.params()
         for name, arr in params.items():
             assert np.shares_memory(arr, model.theta), name
@@ -291,7 +295,7 @@ class TestParameterLayout:
         assert [start for _n, start, _stop, _s in model.layout] == [
             0, *(stop for _n, _start, stop, _s in model.layout[:-1])
         ]
-        assert model.layout[-1][2] == model.theta.size == arch.n_params(head)
+        assert model.layout[-1][2] == model.theta.size == arch.n_params()
         layers = {name: layer for name, _kind, layer in model.blocks}
         for name, arr in params.items():
             block, _, attr = name.rpartition(".")
@@ -315,6 +319,59 @@ class TestParameterLayout:
         for name, start, stop, shape in model.layout:
             assert views[name].shape == shape
             assert np.array_equal(views[name].ravel(), grad[start:stop])
+
+
+class TestArchitecture:
+    """``Architecture`` is the only validator of a model's settings."""
+
+    SHAPE = dict(input_dim=3, hidden=(6, 5), latent_dim=4)
+
+    EPS = "inverse_eps must be positive and finite, got "
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("head", "x", ValueError, "unknown head 'x'"),
+            ("bn_mode", "x", ValueError, "unknown bn_mode 'x'"),
+            ("bn_mask", (2, 1, 1), ValueError, "bn_mask entries must be 0 or 1, got [2, 1, 1]"),
+            ("bn_mask", ("0", 1, 1), ValueError, "bn_mask entries must be 0 or 1, got ['0', 1, 1]"),
+            ("bn_mask", (1, 1), ValueError, "bn_mask must have 3 entries, got 2"),
+            ("bn_mask", (1, 1, 1, 1), ValueError, "bn_mask must have 3 entries, got 4"),
+            ("bn_mask", 5, TypeError, "bn_mask must be a list, got 5"),
+            ("inverse_eps", 0.0, ValueError, EPS + "0.0"),
+            ("inverse_eps", -1e-6, ValueError, EPS + "-1e-06"),
+            ("inverse_eps", math.nan, ValueError, EPS + "nan"),
+            ("inverse_eps", math.inf, ValueError, EPS + "inf"),
+            ("inverse_eps", "1e-6", ValueError, EPS + "'1e-6'"),
+            ("inverse_eps", True, ValueError, EPS + "True"),
+            ("center_frozen", 0, TypeError, "center_frozen must be a bool, got 0"),
+            ("center_frozen", "no", TypeError, "center_frozen must be a bool, got 'no'"),
+            ("input_dim", 0, ValueError, "dimensions must be positive"),
+            ("latent_dim", 0, ValueError, "dimensions must be positive"),
+            ("hidden", (6, 0), ValueError, "hidden widths must be positive"),
+            ("input_dim", True, TypeError, "input_dim must be an int, got True"),
+            ("latent_dim", 4.0, TypeError, "latent_dim must be an int, got 4.0"),
+            ("hidden", (6, True), TypeError, "hidden must be a list of ints, got (6, True)"),
+            ("hidden", 8, TypeError, "hidden must be a list of ints, got 8"),
+            ("input_bn", "yes", TypeError, "input_bn must be a bool, got 'yes'"),
+            ("input_bn", 1, TypeError, "input_bn must be a bool, got 1"),
+        ],
+        ids=str,
+    )
+    def test_rejects_a_bad_setting_naming_it(self, field, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Architecture(**{**self.SHAPE, field: value})
+
+    def test_replacing_the_head_keeps_an_unset_mask_unset(self):
+        arch = replace(Architecture(**self.SHAPE), head="bce")
+        assert arch.bn_mask is None and arch.bn_on() == (True, True)
+        model = DetectorModel(arch)
+        assert model.layout[-1][0] == "offset" and model.theta.size == arch.n_params()
+
+    def test_lists_are_kept_as_tuples_of_the_given_entries(self):
+        arch = Architecture(3, hidden=[6, 5], latent_dim=4, bn_mask=[1, 0, 1])
+        assert arch == Architecture(**self.SHAPE, bn_mask=(1, 0, 1))
+        assert arch.bn_on() == (True, False, True)
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ CSV files and config text fail only with the documented errors."""
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def random_model_and_batch(head, arch, rows, seed):
     """A model with every parameter drawn at random, not at its init values
     (gamma 1, beta 0, center 0), and a batch of standard normal rows."""
     rng = np.random.default_rng(seed)
-    model = DetectorModel(arch, head=head)
+    model = DetectorModel(replace(arch, head=head))
     for arr in model.params().values():
         arr[...] = rng.normal(size=arr.shape)
     return model, rng.normal(size=(rows, arch.input_dim)), rng
@@ -154,9 +155,9 @@ def test_two_row_batches_and_constant_columns_score_finite(head, case):
 @given(case=scored_batches())
 def test_parameter_count_matches_the_built_model(head, case):
     # load_checkpoint sizes a header by this count before building the model
-    arch = case[0]
-    built = DetectorModel(arch, head=head).params().values()
-    assert arch.n_params(head) == sum(arr.size for arr in built)
+    arch = replace(case[0], head=head)
+    built = DetectorModel(arch).params().values()
+    assert arch.n_params() == sum(arr.size for arr in built)
 
 
 # ----- corrupted input -------------------------------------------------------

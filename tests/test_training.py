@@ -1,12 +1,20 @@
 """Loss definitions, the training loop contract, and checkpointing."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from batchad.errors import ConfigError, DivergenceError
-from batchad.model import CHECKPOINT_MAGIC, STAT_FIELDS, load_checkpoint, save_checkpoint
+from batchad.model import (
+    CHECKPOINT_MAGIC,
+    STAT_FIELDS,
+    Architecture,
+    DetectorModel,
+    load_checkpoint,
+    save_checkpoint,
+)
 from batchad.scores import ScoreVector, meta_oe_loss
 from batchad.tasks import MetaDataset, sample_iteration_tasks
 from batchad import training
@@ -46,7 +54,7 @@ class TestLosses:
     def test_losses_agree_on_pure_batch(self):
         # one_class is the mixed objective with every row labeled normal,
         # whatever labels it is given
-        model = small_cfg().model(input_dim=1)
+        model = DetectorModel(small_cfg().architecture(1))
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 12, 1))
         y = (rng.random((2, 12)) < 0.3).astype(float)
@@ -279,6 +287,33 @@ class TestCheckpoint:
         save_checkpoint(train(meta, small_cfg(iterations=8))[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "arch, digest",
+        [
+            (
+                Architecture(input_dim=8),
+                "06d2cc3c118c0fc88e66ba399a15e7f50a6a1e9667c19f4f5afabb4c36b15545",
+            ),
+            (
+                Architecture(
+                    3, hidden=(6, 5), latent_dim=4, input_bn=True, head="bce", bn_mask=(1, 0, 1)
+                ),
+                "4bfda8b8dbb867164f43122131423216d06ebb005be020004c74a7cfa3c78a08",
+            ),
+            (
+                Architecture(3, hidden=(6, 5), latent_dim=4, bn_mode="frozen", center_frozen=True),
+                "f1c1ddd98a2d0aa898da4a889dda75d45c2ecfdb535280407364dbe5a9310ab5",
+            ),
+        ],
+        ids=["headline", "bce-input-bn-masked", "frozen-center-frozen"],
+    )
+    def test_untrained_checkpoint_bytes_are_pinned(self, arch, digest, tmp_path):
+        # an untrained model's values are plain RNG draws and zeros, which
+        # touch no BLAS: the bytes are the same on every platform
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DetectorModel(arch, np.random.default_rng(0)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @staticmethod
     def rewrite(path, edit_params, tail: int):
         """Apply ``edit_params`` to the header's parameter list, then keep
@@ -311,7 +346,7 @@ class TestCheckpoint:
         # an untrained frozen model has no statistics to save; loading must
         # fail, not the first scoring call
         path = tmp_path / "model.ckpt"
-        save_checkpoint(small_cfg(bn_mode="frozen").model(input_dim=1), path)
+        save_checkpoint(DetectorModel(small_cfg(bn_mode="frozen").architecture(1)), path)
         with pytest.raises(ValueError, match="frozen mode but lists no statistics"):
             load_checkpoint(path)
 
