@@ -43,8 +43,11 @@ def check_ratios(ratios, batch_size: int) -> list[float]:
 def tie_average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their rank range."""
     values = np.asarray(values)
-    order = np.argsort(values, kind="mergesort")
+    # the default sort is not stable, which no tie group's mean rank can
+    # show; only the NaNs, sorted last and never tied, go back to index order
+    order = np.argsort(values)
     sorted_vals = values[order]
+    order[len(order) - np.count_nonzero(sorted_vals != sorted_vals):].sort()
     # a tie group starts wherever the sorted value changes (NaN never ties)
     start = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
     end = np.r_[start[1:], len(values)]
@@ -164,6 +167,8 @@ def evaluate(
     """
     ratios = check_ratios(ratios, batch_size)
     for name, count in (("runs", runs), ("batches_per_run", batches_per_run)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ConfigError(f"{name} must be an int, got {count!r}")
         if count < 1:
             raise ConfigError(f"{name} must be at least 1, got {count}")
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))

@@ -67,7 +67,8 @@ class Architecture:
     distance head's inverse score; ``center_frozen`` keeps its center fixed
     in training. Construction is the only check of these settings: a wrong
     type or value raises ``TypeError`` or ``ValueError``. ``hidden`` and
-    ``bn_mask`` are kept as tuples of the given entries.
+    ``bn_mask`` are kept as tuples of the given entries, except that a mask
+    with every position on is kept as None, so equal models compare equal.
     """
 
     input_dim: int
@@ -108,6 +109,8 @@ class Architecture:
             n_bn = self.n_bn_positions()
             if len(self.bn_mask) != n_bn:
                 raise ValueError(f"bn_mask must have {n_bn} entries, got {len(self.bn_mask)}")
+            if all(self.bn_mask):  # one form for "all on"
+                object.__setattr__(self, "bn_mask", None)
         eps = self.inverse_eps
         if not (isinstance(eps, (int, float)) and not isinstance(eps, bool) and 0 < eps < math.inf):
             raise ValueError(f"inverse_eps must be positive and finite, got {eps!r}")

@@ -183,8 +183,9 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 def reference_linear(layer, x: np.ndarray, grad: np.ndarray):
     """(output, input gradient, weight gradient) of a Linear layer; a stack's
-    output is one product per batch."""
-    out = np.stack([batch @ layer.weight.T for batch in x.reshape(-1, *x.shape[-2:])])
+    output is one product per batch, by a contiguous copy of ``W.T``."""
+    w_t = np.ascontiguousarray(layer.weight.T)
+    out = np.stack([batch @ w_t for batch in x.reshape(-1, *x.shape[-2:])])
     rows_in = x.reshape(-1, layer.in_dim)
     rows = grad.reshape(-1, layer.out_dim)
     g_x = (rows @ layer.weight).reshape(x.shape)
@@ -220,5 +221,5 @@ def reference_batchnorm(layer, x: np.ndarray, mode: str, grad: np.ndarray):
 
 def reference_relu(x: np.ndarray, grad: np.ndarray):
     """(output, input gradient) of a ReLU."""
-    mask = x > 0
-    return x * mask, grad * mask
+    out = np.maximum(x, 0.0)
+    return out, grad * (out > 0)

@@ -1,6 +1,8 @@
 """AUROC against the pair-counting oracle, the projected TV diagnostic, and
 the batch scoring protocol."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,17 @@ class TestAuroc:
 
 
 class TestTieAverageRanks:
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(14))
     def test_bit_equal_to_reference_on_ties_and_nan(self, seed):
         rng = np.random.default_rng([seed, 3])
-        n = 19 * seed  # from empty up to 171 scores
+        # from empty up to 171 scores, then the 1500 of an evaluation cell,
+        # a size at which numpy's sort may pick another algorithm
+        n = 19 * seed if seed < 10 else 1500
         # a handful of distinct values forces long tie runs; signed zeros tie
         values = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf], size=n)
+        if seed >= 12:  # mostly distinct scores among the ties
+            distinct = rng.random(n) < 0.8
+            values[distinct] = rng.normal(size=distinct.sum())
         values[rng.random(n) < 0.2] = np.nan
         np.testing.assert_array_equal(
             tie_average_ranks(values).view(np.int64),
@@ -272,11 +279,25 @@ class TestEvaluate:
         assert a.per_ratio == b.per_ratio
 
     @pytest.mark.parametrize(
-        "name, value", [("runs", 0), ("runs", -1), ("batches_per_run", 0)], ids=str
+        "name, value",
+        [
+            ("runs", 0),
+            ("runs", -1),
+            ("batches_per_run", 0),
+            ("runs", 2.5),
+            ("runs", True),
+            ("batches_per_run", 1.5),
+            ("batches_per_run", True),
+        ],
+        ids=str,
     )
     def test_count_below_one_is_config_error_naming_it(self, name, value, small_setup):
         _, test_meta = small_setup
-        with pytest.raises(ConfigError, match=f"{name} must be at least 1, got {value}"):
+        if type(value) is int:
+            message = f"{name} must be at least 1, got {value}"
+        else:  # a float or a bool is not a count
+            message = f"{name} must be an int, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], **{name: value})
 
 

@@ -65,9 +65,10 @@ class TestLayersMatchOutOfPlaceFormulas:
         x.flat[::4] = 0.0
         grad = rng.normal(size=shape)
         want_out, want_g = reference_relu(x, grad)
-        out, mask = relu_forward(x.copy())
+        out, cache = relu_forward(x.copy())
+        assert cache is out
         assert_same_bits(out, want_out)
-        assert_same_bits(relu_backward(grad.copy(), mask), want_g)
+        assert_same_bits(relu_backward(grad.copy(), cache), want_g)
 
 
 def model_and_inputs(head: str, input_bn: bool, mode: str):
@@ -191,6 +192,12 @@ class TestAllocationBudget:
         budget = 3 * chunk_rows * 64 * 8 + 2 * 2 * self.cells[..., 0].size * 8
         peak = traced_peak(lambda: self.model.score_batch(self.cells))
         assert peak <= budget, (peak, budget)
+
+    def test_relu_allocates_no_mask(self):
+        # a bool mask of (2048, 64) activations would take 128 KiB
+        x = np.random.default_rng(2).normal(size=(2048, 64))
+        peak = traced_peak(lambda: relu_forward(x))
+        assert peak <= 1024, peak
 
     def test_loss_and_grads_of_an_8_task_stack(self):
         peak = traced_peak(lambda: self.model.loss_and_grads(self.stack, self.y))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,19 @@ class TestCheckpoint:
         assert clone.has_frozen_stats()
         x = np.random.default_rng(5).normal(size=(12, 1))
         assert np.array_equal(model.score_batch(x).s, clone.score_batch(x).s)
+
+    @pytest.mark.parametrize("mask", [None, (1, 1), (1, 0)], ids=str)
+    def test_round_trip_keeps_the_description(self, mask, tmp_path):
+        # the header lists the resolved mask; an all-on mask is read back as
+        # the unset one, so the loaded description equals the saved one and
+        # replacing its head re-sizes the unset mask as it does the original
+        arch = Architecture(input_dim=3, hidden=(4,), latent_dim=2, bn_mask=mask)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DetectorModel(arch), path)
+        loaded = load_checkpoint(path).arch
+        assert loaded == arch
+        if mask != (1, 0):
+            assert replace(loaded, head="bce").bn_on() == (True,)
 
     def test_save_is_deterministic(self, tmp_path):
         meta = toy_two_pool_meta(n=300)
