@@ -7,6 +7,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +126,9 @@ def save_metaset_csv(
 class TabularSource:
     """Description of a delimited file to ingest.
 
-    Rows are grouped into pools by the value of ``timestamp_col`` (bins sorted
-    numerically when possible, else lexicographically); the first
+    Rows are grouped into pools by the value of ``timestamp_col``. Bins that
+    are numbers come first in numeric order, then the others, NaN included,
+    in text order; two spellings of one number go by their text. The first
     ``train_bins`` bins become the training pools. Every column but the
     label and timestamp columns is a feature. Anomaly-labeled rows are
     kept only on the test side, as a designated anomaly pool. Per-feature
@@ -149,76 +152,120 @@ def _standardize(x: np.ndarray, fit: np.ndarray) -> np.ndarray:
 
 
 def _bin_sort_key(value: str):
+    # numbers in numeric order, then the rest (NaN too) as text; text breaks ties
     try:
-        return (0, float(value), "")
+        number = float(value)
     except ValueError:
-        return (1, 0.0, value)
+        number = math.nan
+    return (1, 0.0, value) if math.isnan(number) else (0, number, value)
+
+
+# rows converted per pass: the file's rows are never all held as strings at once
+CSV_CHUNK_ROWS = 4096
+
+
+def _row_chunks(reader, path: Path):
+    """Yield the header row (None for an empty file), then lists of at most
+    ``CSV_CHUNK_ROWS`` rows. Malformed CSV or a byte that is not UTF-8 raises
+    an error naming its line."""
+    try:
+        yield next(reader, None)
+        yield from iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), [])
+    except csv.Error as exc:
+        raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # the streaming decoder only knows its chunk: find the line in the file
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from None
+        raise
+
+
+def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict):
+    """(features, labels, bin codes) of a list of rows, built a column at a
+    time, or None if a row lacks a cell, does not parse, or has a label other
+    than 0 or 1 or a non-finite feature. ``codes`` numbers the timestamp
+    values in the order first seen."""
+    n = len(rows)
+    features = np.empty((n, len(feat_idx)), dtype=DTYPE)
+    try:
+        for j, c in enumerate(feat_idx):
+            features[:, j] = np.fromiter(map(float, map(itemgetter(c), rows)), DTYPE, n)
+        labels = np.fromiter(map(int, map(itemgetter(label_idx), rows)), np.int64, n)
+        stamps = [""] * n if ts_idx is None else list(map(itemgetter(ts_idx), rows))
+    except (ValueError, IndexError, OverflowError):
+        return None
+    if not (np.isfinite(features).all() and ((labels == 0) | (labels == 1)).all()):
+        return None
+    for stamp in dict.fromkeys(stamps):
+        codes.setdefault(stamp, len(codes))
+    return features, labels, np.fromiter(map(codes.__getitem__, stamps), np.intp, n)
+
+
+def _row_is_valid(row, width: int, feat_idx, label_idx) -> bool:
+    """The checks of ``_convert_rows`` for one row, without numpy's per-call cost."""
+    try:
+        return len(row) >= width and int(row[label_idx]) in (0, 1) and all(
+            math.isfinite(float(row[c])) for c in feat_idx
+        )
+    except ValueError:
+        return False
 
 
 def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None]:
     """Read a delimited file into (train meta-set, test meta-set).
 
-    Without a timestamp column the whole file forms a single training pool and
-    the test side is ``None``. Unparseable or non-finite rows, malformed CSV
-    and bytes that are not UTF-8 abort the load with their line numbers;
-    anomaly detectors are too sensitive to imputation for silent repair to
-    be safe.
+    The header's columns are checked before any row is read. Rows are then
+    read and converted ``CSV_CHUNK_ROWS`` at a time, so memory beyond the
+    result is bounded by one chunk. Without a timestamp column the whole file
+    forms a single training pool and the test side is ``None``. Rows that lack
+    a cell, do not parse or hold a non-finite value, malformed CSV and bytes
+    that are not UTF-8 abort the load with their line numbers; anomaly
+    detectors are too sensitive to imputation for silent repair to be safe.
     """
     path = Path(source.path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=source.delimiter)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            # the streaming decoder only knows its chunk: find the line in the file
-            data = path.read_bytes()
+        chunks = _row_chunks(csv.reader(fh, delimiter=source.delimiter), path)
+        header = next(chunks)
+        if header is None:
+            raise ConfigError(f"{path}: empty file")
+
+        def column_index(name: str) -> int:
             try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise ConfigError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from None
-            raise
-    if header is None:
-        raise ConfigError(f"{path}: empty file")
+                return header.index(name)
+            except ValueError:
+                raise ConfigError(f"{path}: missing column {name!r}") from None
 
-    def column_index(name: str) -> int:
-        try:
-            return header.index(name)
-        except ValueError:
-            raise ConfigError(f"{path}: missing column {name!r}") from None
+        label_idx = column_index(source.label_col)
+        ts_idx = column_index(source.timestamp_col) if source.timestamp_col else None
+        skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
+        feat_idx = [i for i in range(len(header)) if i not in skip]
+        if not feat_idx:
+            raise ConfigError(f"{path}: no feature columns")
 
-    label_idx = column_index(source.label_col)
-    ts_idx = column_index(source.timestamp_col) if source.timestamp_col else None
-    skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
-    feat_idx = [i for i in range(len(header)) if i not in skip]
-    if not feat_idx:
-        raise ConfigError(f"{path}: no feature columns")
-
-    features = np.empty((len(rows), len(feat_idx)), dtype=DTYPE)
-    labels = np.empty(len(rows), dtype=np.int64)
-    bins: list[str] = []
-    bad_lines: list[int] = []
-    for i, row in enumerate(rows):
-        lineno = i + 2  # header is line 1
-        try:
-            vals = [float(row[c]) for c in feat_idx]
-            lab = int(row[label_idx])
-            if lab not in (0, 1) or not all(math.isfinite(v) for v in vals):
-                raise ValueError
-        except (ValueError, IndexError):
-            bad_lines.append(lineno)
-            continue
-        features[i] = vals
-        labels[i] = lab
-        bins.append(row[ts_idx] if ts_idx is not None else "")
-    del rows  # the parsed strings outweigh the arrays built below
+        codes: dict[str, int] = {}
+        columns = (feat_idx, label_idx, ts_idx, codes)
+        parts = [_convert_rows([], *columns)]  # so a file without rows has arrays too
+        bad_lines: list[int] = []
+        first_line = 2  # header is line 1
+        for rows in chunks:
+            part = _convert_rows(rows, *columns)
+            if part is None:  # a failed chunk: name its failing rows one by one
+                bad_lines += [
+                    line for line, row in enumerate(rows, first_line)
+                    if not _row_is_valid(row, len(header), feat_idx, label_idx)
+                ]
+            parts.append(part)
+            first_line += len(rows)
+            del rows  # the strings go before the next chunk is read
     if bad_lines:
         shown = ", ".join(str(n) for n in bad_lines[:10])
         more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
         raise ValueError(f"{path}: unparseable or non-finite rows at lines {shown}{more}")
+    features, labels, row_codes = (np.concatenate(column) for column in zip(*parts))
 
     if ts_idx is None:
         normal = features[labels == 0]
@@ -226,7 +273,7 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
             raise ConfigError(f"{path}: no normal rows")
         return MetaDataset(pools=(_standardize(normal, normal),), ids=(0,)), None
 
-    bin_keys = sorted(set(bins), key=_bin_sort_key)
+    bin_keys = sorted(codes, key=_bin_sort_key)
     if len(bin_keys) < 2:
         raise ConfigError(f"{path}: timestamp binning needs at least 2 bins, got {len(bin_keys)}")
     if source.train_bins is None:
@@ -235,8 +282,8 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         raise ConfigError(
             f"train_bins must lie in [1, {len(bin_keys) - 1}], got {source.train_bins}"
         )
-    bin_of = {key: b for b, key in enumerate(bin_keys)}
-    row_bin = np.array([bin_of[b] for b in bins])
+    # argsort inverts the permutation that takes bin indices to codes
+    row_bin = np.argsort([codes[key] for key in bin_keys])[row_codes]
 
     train_mask = row_bin < source.train_bins
     train_norm = train_mask & (labels == 0)

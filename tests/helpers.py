@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -133,6 +137,114 @@ def reference_tie_average_ranks(values) -> np.ndarray:
         ranks[order[i:j]] = 0.5 * (i + 1 + j)
         i = j
     return ranks
+
+
+def reference_load_tabular(source):
+    """``batchad.data.load_tabular`` as one pass over every row, holding the
+    whole file as strings; the oracle for the chunked, column-wise loader."""
+    from batchad.data import _bin_sort_key, _standardize
+    from batchad.errors import ConfigError
+    from batchad.nn import DTYPE
+    from batchad.tasks import MetaDataset
+
+    path = Path(source.path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=source.delimiter)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ConfigError(f"{path}: empty file")
+
+    def column_index(name: str) -> int:
+        try:
+            return header.index(name)
+        except ValueError:
+            raise ConfigError(f"{path}: missing column {name!r}") from None
+
+    label_idx = column_index(source.label_col)
+    ts_idx = column_index(source.timestamp_col) if source.timestamp_col else None
+    skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
+    feat_idx = [i for i in range(len(header)) if i not in skip]
+    if not feat_idx:
+        raise ConfigError(f"{path}: no feature columns")
+
+    features = np.empty((len(rows), len(feat_idx)), dtype=DTYPE)
+    labels = np.empty(len(rows), dtype=np.int64)
+    bins: list[str] = []
+    bad_lines: list[int] = []
+    for i, row in enumerate(rows):
+        lineno = i + 2  # header is line 1
+        try:
+            vals = [float(row[c]) for c in feat_idx]
+            lab = int(row[label_idx])
+            stamp = row[ts_idx] if ts_idx is not None else ""
+            if lab not in (0, 1) or not all(math.isfinite(v) for v in vals):
+                raise ValueError
+        except (ValueError, IndexError):
+            bad_lines.append(lineno)
+            continue
+        features[i] = vals
+        labels[i] = lab
+        bins.append(stamp)
+    if bad_lines:
+        shown = ", ".join(str(n) for n in bad_lines[:10])
+        more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
+        raise ValueError(f"{path}: unparseable or non-finite rows at lines {shown}{more}")
+
+    if ts_idx is None:
+        normal = features[labels == 0]
+        if len(normal) == 0:
+            raise ConfigError(f"{path}: no normal rows")
+        return MetaDataset(pools=(_standardize(normal, normal),), ids=(0,)), None
+
+    bin_keys = sorted(set(bins), key=_bin_sort_key)
+    if len(bin_keys) < 2:
+        raise ConfigError(f"{path}: timestamp binning needs at least 2 bins, got {len(bin_keys)}")
+    if source.train_bins is None:
+        raise ConfigError("train_bins is required when a timestamp column is set")
+    if not 1 <= source.train_bins < len(bin_keys):
+        raise ConfigError(
+            f"train_bins must lie in [1, {len(bin_keys) - 1}], got {source.train_bins}"
+        )
+    bin_of = {key: b for b, key in enumerate(bin_keys)}
+    row_bin = np.array([bin_of[b] for b in bins])
+
+    train_mask = row_bin < source.train_bins
+    train_norm = train_mask & (labels == 0)
+    if not train_norm.any():
+        raise ConfigError(f"{path}: training bins contain no normal rows")
+    features = _standardize(features, features[train_norm])
+
+    normal = {b: features[(row_bin == b) & (labels == 0)] for b in range(len(bin_keys))}
+    train_ids = [b for b in range(source.train_bins) if len(normal[b])]
+    test_ids = [b for b in range(source.train_bins, len(bin_keys)) if len(normal[b])]
+    anomalies = features[(row_bin >= source.train_bins) & (labels == 1)]
+
+    if not train_ids or not test_ids:
+        raise ConfigError(f"{path}: empty train or test side after binning")
+    train = MetaDataset(pools=tuple(normal[b] for b in train_ids), ids=tuple(train_ids))
+    test = MetaDataset(
+        pools=tuple(normal[b] for b in test_ids),
+        ids=tuple(test_ids),
+        anomaly_pool=anomalies if len(anomalies) else None,
+    )
+    return train, test
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 2**20
 
 
 def spearman_rho(x, y) -> float:

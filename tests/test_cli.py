@@ -176,6 +176,26 @@ class TestTrain:
         assert code == 2
         assert f"{data}: line {lines} is not UTF-8" in capsys.readouterr().err
 
+    def test_row_without_a_cell_is_runtime_error_naming_its_line(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("f0,label,bin\n1.0,0,1\n2.0,0,1\n3.0,0,2\n4.0,0\n5.0,0,2\n")
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{data}"\ntrain_bins = 1\niterations = 2\n')
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 3
+        assert f"{data}: unparseable or non-finite rows at lines 5" in capsys.readouterr().err
+
+    def test_missing_column_is_reported_before_a_malformed_row(self, tmp_path, capsys):
+        # the header is checked before any row is read, so a file without its
+        # label column is a config error even where a row further down is malformed
+        data = tmp_path / "d.csv"
+        data.write_text("bin,f0,f1\n0,1,2\n0," + "9" * 200_000 + ",2\n1,3,4\n")
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{data}"\ntrain_bins = 1\niterations = 2\n')
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"{data}: missing column 'label'" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_appends_record(self, tiny_config, tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Meta-set generation, CSV round trips, splits, and leakage guards."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from batchad.data import (
+    CSV_CHUNK_ROWS,
     GaussianMetaSpec,
     TabularSource,
+    _bin_sort_key,
     augment_with_permutations,
     generate_gaussian_metaset,
     load_tabular,
@@ -13,7 +17,7 @@ from batchad.data import (
 )
 from batchad.errors import ConfigError
 
-from helpers import row_digests
+from helpers import MIB, assert_same_bits, reference_load_tabular, row_digests, traced_peak
 
 
 class TestGaussianGenerator:
@@ -171,6 +175,31 @@ class TestLoadTabular:
         assert abs(train.pools[0][:, 0].mean()) < 1e-12
         assert test.pools[0][:, 0].mean() > 10
 
+    def test_row_without_its_timestamp_cell_names_its_line(self, tmp_path):
+        rows = ["1.0,0,1", "2.0,0,1", "3.0,0,2", "4.0,0", "5.0,0,2"]
+        path = write_csv(tmp_path / "d.csv", rows, header="f0,label,bin")
+        with pytest.raises(ValueError, match=r"d\.csv: unparseable or non-finite rows at lines 5$"):
+            load_tabular(TabularSource(path=path, train_bins=1))
+
+    def test_bin_order_is_total(self):
+        # a NaN key sorted by its value compares false both ways, so the order
+        # of bins around it followed the order of a hash-seeded set
+        keys = ["3", "nan", "1", "2", "10", "x", "1.0"]
+        orders = {tuple(sorted(p, key=_bin_sort_key)) for p in permutations(keys)}
+        assert orders == {("1", "1.0", "2", "3", "10", "nan", "x")}
+
+    def test_traced_peak_of_a_24000_row_load(self, tmp_path):
+        # all 24,000 rows of gaussian8 as strings take 16.8 MiB, and holding
+        # them at once peaked at 18.8 MiB; one chunk of rows takes 2.9 MiB,
+        # the (24000, 8) features 1.5 MiB, and the chunked load peaks at 7.9 MiB
+        csv_path, _ = save_metaset_csv(
+            *generate_gaussian_metaset(GaussianMetaSpec(), seed=7), tmp_path, seed=7
+        )
+        source = TabularSource(path=str(csv_path), train_bins=8)
+        load_tabular(source)
+        peak = traced_peak(lambda: load_tabular(source))
+        assert peak <= 10 * MIB, peak
+
     def test_no_timestamp_column_single_pool(self, tmp_path):
         rows = ["0,1,2", "0,3,4", "1,9,9"]
         path = write_csv(tmp_path / "d.csv", rows, header="label,f0,f1")
@@ -178,6 +207,132 @@ class TestLoadTabular:
         assert test is None
         assert train.k == 1
         assert train.pools[0].shape == (2, 2)  # the anomaly row is excluded
+
+
+LONG_ROWS = 2 * CSV_CHUNK_ROWS + 300
+# "10" and "1e1" tie as numbers; "nan" and "x" are text bins
+LONG_BINS = ["10", "2", "-1", "1e1", "x", "nan", "7"]
+
+
+def long_rows():
+    """``bin,label,f0,f1,f2`` rows over three chunks, every 40th an anomaly."""
+    x = np.random.default_rng(0).normal(size=(LONG_ROWS, 3))
+    return [
+        f"{LONG_BINS[i % len(LONG_BINS)]},{int(i % 40 == 0)},{a:.17g},{b:.17g},{c:.17g}"
+        for i, (a, b, c) in enumerate(x)
+    ]
+
+
+def spoil(indices, row="0,0,oops,1,2"):
+    """``long_rows()`` with the rows at ``indices`` replaced by ``row``."""
+    rows = long_rows()
+    for i in indices:
+        rows[i] = row
+    return rows
+
+
+def bad_lines_message(path, lines):
+    shown = ", ".join(str(n) for n in lines[:10])
+    more = f" (+{len(lines) - 10} more)" if len(lines) > 10 else ""
+    return f"{path}: unparseable or non-finite rows at lines {shown}{more}"
+
+
+CHUNK = CSV_CHUNK_ROWS
+# name: (header, rows, TabularSource overrides, expected), where expected is
+# None for a load, "config" for a ConfigError, or the bad lines; the rows are
+# built when a case runs
+LONG_CASES = {
+    "clean": (None, long_rows, {}, None),
+    "bad-in-first-chunk": (None, lambda: spoil([3]), {}, [5]),
+    "bad-in-last-chunk": (None, lambda: spoil([LONG_ROWS - 1]), {}, [LONG_ROWS + 1]),
+    "bad-across-a-boundary": (
+        None, lambda: spoil(range(CHUNK - 2, CHUNK + 2)), {}, list(range(CHUNK, CHUNK + 4))
+    ),
+    "more-than-10-bad": (
+        None, lambda: spoil(range(5, LONG_ROWS, 600)), {}, list(range(7, LONG_ROWS + 2, 600))
+    ),
+    "quoted-fields": (
+        None,
+        lambda: ['"a,b",0,"1.5",2,3']
+        + [",".join(f'"{c}"' for c in r.split(",")) for r in long_rows()],
+        {},
+        None,
+    ),
+    "extra-trailing-cells": (
+        None, lambda: [r + ",extra,9" if i % 3 else r for i, r in enumerate(long_rows())], {}, None
+    ),
+    "crlf-line-ends": (None, long_rows, {}, None),
+    "blank-line": (None, lambda: spoil([CHUNK + 7], row=""), {}, [CHUNK + 9]),
+    "short-row": (None, lambda: spoil([CHUNK], row="2,0,1,2"), {}, [CHUNK + 2]),
+    "row-without-its-timestamp": (
+        "label,f0,f1,f2,bin",
+        lambda: [
+            "0,1,2,3" if i == 2 * CHUNK + 1 else r.split(",", 1)[1] + "," + r.split(",", 1)[0]
+            for i, r in enumerate(long_rows())
+        ],
+        {},
+        [2 * CHUNK + 3],
+    ),
+    "labels-spaced-and-signed": (
+        None,
+        lambda: [r.replace(",1,", ", 1,", 1).replace(",0,", ",+0,", 1) for r in long_rows()],
+        {},
+        None,
+    ),
+    "label-1_0": (None, lambda: spoil([CHUNK + 1], row="2,1_0,1,2,3"), {}, [CHUNK + 3]),
+    "label-past-int64": (None, lambda: spoil([CHUNK + 1], row=f"2,{2**64},1,2,3"), {}, [CHUNK + 3]),
+    "inf-feature": (None, lambda: spoil([9], row="2,0,1,inf,3"), {}, [11]),
+    "nan-feature": (None, lambda: spoil([2 * CHUNK], row="2,0,1,2,nan"), {}, [2 * CHUNK + 2]),
+    "header-only": (None, list, {}, "config"),
+    "no-timestamp-column": (
+        "label,f0,f1,f2",
+        lambda: [r.split(",", 1)[1] for r in long_rows()],
+        {"timestamp_col": None},
+        None,
+    ),
+    "no-timestamp-header-only": ("label,f0,f1,f2", list, {"timestamp_col": None}, "config"),
+}
+
+
+def load_or_error(loader, source):
+    try:
+        return loader(source)
+    except ValueError as exc:  # ConfigError included
+        return exc
+
+
+class TestChunkedLoadMatchesReference:
+    """The chunked, column-wise loader against the one-pass row loop kept in
+    ``helpers``, over files of more than two chunks."""
+
+    @pytest.mark.parametrize("case", sorted(LONG_CASES))
+    def test_same_arrays_or_same_error(self, case, tmp_path):
+        header, make_rows, overrides, expected = LONG_CASES[case]
+        path = tmp_path / "d.csv"
+        end = "\r\n" if case == "crlf-line-ends" else "\n"
+        path.write_text(end.join([header or "bin,label,f0,f1,f2"] + make_rows()) + end, newline="")
+        source = TabularSource(path=str(path), train_bins=3, **overrides)
+        got = load_or_error(load_tabular, source)
+        want = load_or_error(reference_load_tabular, source)
+        if expected is None:
+            assert not isinstance(want, Exception), want
+        elif expected == "config":
+            assert type(want) is ConfigError
+        else:
+            assert str(want) == bad_lines_message(path, expected)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is None:
+                continue
+            assert g.ids == w.ids and len(g.pools) == len(w.pools)
+            for gp, wp in zip(g.pools, w.pools):
+                assert_same_bits(gp, wp)
+            assert (g.anomaly_pool is None) == (w.anomaly_pool is None)
+            if w.anomaly_pool is not None:
+                assert_same_bits(g.anomaly_pool, w.anomaly_pool)
 
 
 class TestStandardizer:

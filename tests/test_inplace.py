@@ -1,15 +1,20 @@
 """In-place layer passes: bit-exact against the out-of-place formulas, caller
 arrays never written, and the memory a scoring or training call allocates."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from batchad.model import HEADS, STACK_ROWS, Architecture, DetectorModel
 from batchad.nn import BN_MODES, BatchNorm, Linear, relu_backward, relu_forward
 
-from helpers import assert_same_bits, reference_batchnorm, reference_linear, reference_relu
+from helpers import (
+    MIB,
+    assert_same_bits,
+    reference_batchnorm,
+    reference_linear,
+    reference_relu,
+    traced_peak,
+)
 
 SHAPES = [pytest.param((7, 5), id="batch"), pytest.param((3, 7, 5), id="stack")]
 
@@ -145,18 +150,6 @@ def test_bce_latent_precedes_the_last_relu():
     # place; the latent must keep the negative half a batch-normalized column has
     model, holder, _x, _y = model_and_inputs("bce", False, "batch")
     assert (model.latent_batch(holder[0]) < 0).any()
-
-
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-MIB = 2**20
 
 
 class TestAllocationBudget:
