@@ -38,7 +38,7 @@ class GaussianMetaSpec:
     def __post_init__(self):
         if self.train_distributions < 2 or self.test_distributions < 1:
             raise ConfigError("need at least 2 train and 1 test distributions")
-        if self.mean_scale <= self.within_scale:
+        if not self.mean_scale > self.within_scale:
             raise ConfigError(
                 "mean_scale must exceed within_scale or the pools are indistinguishable"
             )

@@ -9,6 +9,8 @@ aggregates AUROC over rotations and independent runs.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,6 +22,11 @@ from .nn import DTYPE, as_batch
 from .tasks import MetaDataset, build_contaminated_task, normal_count, sample_iteration_tasks
 
 DEFAULT_RATIOS = (0.01, 0.05, 0.1, 0.2)
+
+# the most multiply-adds (rows x fan-in x fan-out) of a scored batch's widest
+# product for which cells are spread over threads: OpenBLAS (0.3.31) threads a
+# larger product itself, and cell threads would compete with its own threads
+CELL_THREAD_MACS = 10**6
 
 
 def check_ratios(ratios, batch_size: int) -> list[float]:
@@ -164,6 +171,11 @@ def evaluate(
     stack, each batch normalized on its own, and computes one AUROC per cell
     from the pooled scores. Cell RNG streams depend only on (seed, ratio
     index, rotation, run), so results are independent of execution order.
+
+    Cells are scored on up to one thread per CPU the process may use, the
+    calling thread among them, unless a batch's widest product exceeds
+    ``CELL_THREAD_MACS`` multiply-adds; every thread is joined before this
+    returns or raises a cell's error. The report does not depend on the CPU count.
     """
     ratios = check_ratios(ratios, batch_size)
     for name, count in (("runs", runs), ("batches_per_run", batches_per_run)):
@@ -171,26 +183,45 @@ def evaluate(
             raise ConfigError(f"{name} must be an int, got {count!r}")
         if count < 1:
             raise ConfigError(f"{name} must be at least 1, got {count}")
+    grid = list(product(enumerate(ratios), range(meta_test.k), range(runs)))
+    widest = max(layer.weight.size for _name, kind, layer in model.blocks if kind == "linear")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = 1 if batch_size * widest > CELL_THREAD_MACS else min(cpus or 1, len(grid))
     cell_auc = np.zeros((len(ratios), meta_test.k, runs))
-    n_scored = 0
-    for (ri, ratio), rotation, run in product(enumerate(ratios), range(meta_test.k), range(runs)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
-        js = np.full(batches_per_run, rotation)
-        x, y = build_contaminated_task(meta_test, js, 1.0 - ratio, batch_size, rng)
-        scores = model.score_batch(x).s
-        cell_auc[ri, rotation, run] = auroc(scores, y)
-        n_scored += len(scores)
+    counts = [0] * len(grid)  # each cell writes only its own slots
+    failures = []  # (cell index, error) of each cell that raised
 
-    per_ratio = {}
-    cells = {}
-    for ri, ratio in enumerate(ratios):
-        run_means = cell_auc[ri].mean(axis=0)  # average rotations per run
-        per_ratio[ratio] = (float(run_means.mean()), float(run_means.std()))
-        cells[ratio] = cell_auc[ri].tolist()
+    def score_cells(first: int) -> None:
+        try:
+            for i in range(first, len(grid), n):
+                if failures:  # evaluate will raise: no further cell is needed
+                    return
+                (ri, ratio), rotation, run = grid[i]
+                rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
+                js = np.full(batches_per_run, rotation)
+                x, y = build_contaminated_task(meta_test, js, 1.0 - ratio, batch_size, rng)
+                scores = model.score_batch(x).s
+                cell_auc[ri, rotation, run] = auroc(scores, y)
+                counts[i] = len(scores)
+        except BaseException as exc:
+            failures.append((i, exc))
 
+    helpers = [threading.Thread(target=score_cells, args=(first,)) for first in range(1, n)]
+    try:
+        for helper in helpers:
+            helper.start()
+        score_cells(0)
+    finally:
+        for helper in filter(threading.Thread.is_alive, helpers):
+            helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+    run_means = cell_auc.mean(axis=1)  # average rotations per run
+    per_ratio = {r: (float(m.mean()), float(m.std())) for r, m in zip(ratios, run_means)}
     return EvalReport(
         auroc=float(np.mean([m for m, _ in per_ratio.values()])),
         per_ratio=per_ratio,
-        cells=cells,
-        n_scored=n_scored,
+        cells=dict(zip(ratios, cell_auc.tolist())),
+        n_scored=sum(counts),
     )

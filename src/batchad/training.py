@@ -62,7 +62,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.5 < self.pi <= 1.0:
             raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")

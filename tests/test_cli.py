@@ -1,6 +1,8 @@
 """End-to-end command-line contracts: files, exit codes, determinism."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -339,6 +341,29 @@ class TestEval:
         code = main(["eval", "--config", str(huge), "--model", str(ckpt)])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: out of memory")
+
+    def test_out_of_memory_on_a_helper_thread_is_runtime_error(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        # evaluate scores cells on one thread per CPU; an error on a thread
+        # other than the caller's reaches main unchanged
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        caller = threading.get_ident()
+        score = DetectorModel.score_batch
+
+        def score_on_caller_only(model, x):
+            if threading.get_ident() != caller:
+                raise MemoryError("no room for this cell")
+            return score(model, x)
+
+        monkeypatch.setattr(DetectorModel, "score_batch", score_on_caller_only)
+        before = threading.enumerate()
+        code = main(["eval", "--config", str(tiny_config), "--model", str(ckpt)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: out of memory: no room for this cell\n"
+        assert threading.enumerate() == before
 
     def test_scalar_hidden_widths_are_runtime_error(self, tiny_config, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -65,6 +65,13 @@ def test_constructed_or_replaced_config_is_validated(changes):
         ExperimentConfig(**changes)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), 0.0, -1e-3])
+def test_learning_rate_that_is_not_positive_is_config_error_naming_it(rate):
+    # resolve_config rejects a NaN first; the dataclass is the library's check
+    with pytest.raises(ConfigError, match=f"^learning_rate must be positive, got {rate}$"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_default_config_hash_is_stable():
     # records and traces are linked across versions by this hash
     assert resolve_config({}).hash() == (

@@ -64,6 +64,11 @@ class TestGaussianGenerator:
         with pytest.raises(ConfigError):
             GaussianMetaSpec(mean_scale=1.0, within_scale=1.0)
 
+    @pytest.mark.parametrize("field", ["mean_scale", "within_scale"])
+    def test_nan_scale_is_config_error_naming_it(self, field):
+        with pytest.raises(ConfigError, match="^mean_scale must exceed within_scale "):
+            GaussianMetaSpec(**{field: float("nan")})
+
     def test_train_and_test_rows_disjoint(self):
         spec = GaussianMetaSpec(samples_per_distribution=50)
         train, test = generate_gaussian_metaset(spec, seed=3)

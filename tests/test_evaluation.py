@@ -1,7 +1,10 @@
 """AUROC against the pair-counting oracle, the projected TV diagnostic, and
 the batch scoring protocol."""
 
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from batchad.data import GaussianMetaSpec, generate_gaussian_metaset
 from batchad.errors import BatchTooSmallError, ConfigError, UndefinedMetricError
 from batchad.evaluation import (
+    CELL_THREAD_MACS,
     auroc,
     collect_latents,
     evaluate,
@@ -235,6 +239,39 @@ class TestStackedScoring:
         with pytest.raises(ValueError):
             model.latent_batch(np.ones((2, 3, 4, 5)))
 
+    @pytest.mark.parametrize("mode", BN_MODES)
+    @pytest.mark.parametrize("head", HEADS)
+    def test_threads_sharing_a_model_score_as_serial_calls(self, head, mode):
+        # a trained model is safe to share across threads: two threads score
+        # it at once and each gets the bits of a call made alone
+        model = scoring_model(head, mode)
+        rng = np.random.default_rng(10)
+        batch, stack = rng.normal(size=(60, 5)), rng.normal(size=(25, 60, 5))
+
+        def results():
+            sv_batch, sv_stack = model.score_batch(batch), model.score_batch(stack)
+            return [sv_batch.s, sv_batch.a, sv_stack.s, sv_stack.a, model.latent_batch(stack)]
+
+        serial = results()
+        start = threading.Barrier(2)
+        got = [None, None]
+
+        def score(k):
+            start.wait(timeout=60)
+            got[k] = [results() for _ in range(20)]
+
+        threads = [threading.Thread(target=score, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert None not in got
+        for rounds in got:
+            for arrays in rounds:
+                for array, want in zip(arrays, serial, strict=True):
+                    assert_same_bits(array, want)
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -299,6 +336,132 @@ class TestEvaluate:
             message = f"{name} must be an int, got {value!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], **{name: value})
+
+
+def with_cpus(monkeypatch, count: int) -> None:
+    """Make the process see ``count`` CPUs it may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
+
+
+def scoring_threads(monkeypatch, model) -> set:
+    """The threads that call ``model.score_batch`` from now on (kept as
+    objects: a finished thread's ident may be reused)."""
+    threads = set()
+    score = model.score_batch
+    monkeypatch.setattr(
+        model, "score_batch", lambda x: threads.add(threading.current_thread()) or score(x)
+    )
+    return threads
+
+
+class TestEvaluateThreads:
+    WIDTH = 128  # the widest product of the model below has WIDTH**2 fan-in x fan-out
+    GUARD_ROWS = CELL_THREAD_MACS // WIDTH**2 + 1  # the fewest rows over the guard
+
+    @pytest.mark.parametrize(
+        "ratios, runs", [([0.1], 1), ([0.1, 0.2], 3)], ids=["2-cells", "12-cells"]
+    )
+    @pytest.mark.parametrize(
+        "rows", [20, GUARD_ROWS - 1, GUARD_ROWS], ids=["below-guard", "at-guard", "over-guard"]
+    )
+    def test_report_does_not_depend_on_the_cpu_count(
+        self, rows, ratios, runs, small_setup, monkeypatch
+    ):
+        _, test_meta = small_setup  # two pools: 2 cells per ratio and run
+        model = DetectorModel(
+            Architecture(input_dim=4, hidden=(self.WIDTH, self.WIDTH), latent_dim=16),
+            rng=np.random.default_rng(0),
+        )
+        threads = scoring_threads(monkeypatch, model)
+        reports = {}
+        for cpus in (1, 2, 7):  # 7 CPUs are more than the 2-cell grid has cells
+            with_cpus(monkeypatch, cpus)
+            threads.clear()
+            reports[cpus] = evaluate(
+                model, test_meta, ratios=ratios, runs=runs, seed=3,
+                batch_size=rows, batches_per_run=2,
+            )
+            n_cells = 2 * len(ratios) * runs
+            assert len(threads) == (1 if rows == self.GUARD_ROWS else min(cpus, n_cells))
+        for cpus in (2, 7):
+            for key in ("cells", "per_ratio", "auroc", "n_scored"):
+                assert getattr(reports[cpus], key) == getattr(reports[1], key), (cpus, key)
+        assert reports[1].n_scored == 2 * len(ratios) * runs * 2 * rows
+
+    @pytest.mark.parametrize("cpu_count, want", [(3, 3), (None, 1)])
+    def test_cpu_count_is_the_fallback_without_affinity(
+        self, cpu_count, want, small_setup, monkeypatch
+    ):
+        _, test_meta = small_setup
+        model = untrained_model(dim=4)
+        threads = scoring_threads(monkeypatch, model)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        evaluate(model, test_meta, ratios=[0.1], runs=2, batch_size=20, batches_per_run=2)
+        assert len(threads) == want
+
+    def test_error_in_a_helper_thread_reaches_the_caller_unchanged(self, small_setup, monkeypatch):
+        _, test_meta = small_setup
+        model = untrained_model(dim=4)
+        with_cpus(monkeypatch, 2)
+        caller = threading.get_ident()
+        error = MemoryError("cell scored on a helper thread")
+        score = model.score_batch
+
+        def score_on_caller_only(x):
+            if threading.get_ident() != caller:
+                raise error
+            return score(x)
+
+        monkeypatch.setattr(model, "score_batch", score_on_caller_only)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError, match=f"^{error}$") as raised:
+            evaluate(model, test_meta, ratios=[0.1], runs=2, batch_size=20, batches_per_run=2)
+        assert raised.value is error
+        assert threading.enumerate() == before
+
+    def test_more_threads_than_cores_under_fast_switching(self, small_setup, monkeypatch):
+        # a lost update of a cell's value or count would change the report
+        _, test_meta = small_setup
+        model = untrained_model(dim=4)
+        cpus = (os.cpu_count() or 1) + 1
+        kw = dict(ratios=[0.1, 0.2], runs=cpus, seed=4, batch_size=20, batches_per_run=2)
+        with_cpus(monkeypatch, 1)
+        serial = evaluate(model, test_meta, **kw)
+        threads = scoring_threads(monkeypatch, model)
+        with_cpus(monkeypatch, cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = evaluate(model, test_meta, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == cpus
+        assert threaded.cells == serial.cells
+        assert threaded.n_scored == serial.n_scored == 2 * 2 * cpus * 2 * 20
+
+    def test_a_failed_cell_stops_the_other_threads(self, small_setup, monkeypatch):
+        # cell 0 fails on the calling thread; the helper stops at its next
+        # cell instead of going on through its stride of 100 cells
+        _, test_meta = small_setup
+        model = untrained_model(dim=4)
+        with_cpus(monkeypatch, 2)
+        caller = threading.get_ident()
+        helper_calls = []
+        score = model.score_batch
+
+        def fail_on_caller(x):
+            if threading.get_ident() == caller:
+                raise ValueError("the first cell fails")
+            helper_calls.append(1)
+            return score(x)
+
+        monkeypatch.setattr(model, "score_batch", fail_on_caller)
+        with pytest.raises(ValueError, match="^the first cell fails$"):
+            evaluate(
+                model, test_meta, ratios=[0.1, 0.2], runs=50, batch_size=20, batches_per_run=2
+            )
+        assert len(helper_calls) < 100
 
 
 class TestCollectLatents:
