@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -27,6 +27,9 @@ DEFAULT_RATIOS = (0.01, 0.05, 0.1, 0.2)
 # product for which cells are spread over threads: OpenBLAS (0.3.31) threads a
 # larger product itself, and cell threads would compete with its own threads
 CELL_THREAD_MACS = 10**6
+# the most threads that score cells: two were measured to pay off on a 2-vCPU
+# host; about 42% of a cell holds the GIL, so more cannot be relied on to gain
+CELL_THREADS = 2
 
 
 def check_ratios(ratios, batch_size: int) -> list[float]:
@@ -172,10 +175,11 @@ def evaluate(
     from the pooled scores. Cell RNG streams depend only on (seed, ratio
     index, rotation, run), so results are independent of execution order.
 
-    Cells are scored on up to one thread per CPU the process may use, the
-    calling thread among them, unless a batch's widest product exceeds
-    ``CELL_THREAD_MACS`` multiply-adds; every thread is joined before this
-    returns or raises a cell's error. The report does not depend on the CPU count.
+    Cells are scored on ``n = min(CELL_THREADS, CPUs the process may use)``
+    threads, the caller and ``n - 1`` helpers joined before this returns or
+    raises, or on the caller alone when a batch's widest product exceeds
+    ``CELL_THREAD_MACS`` multiply-adds. An error raised is the first failed
+    cell's in cell order. The report does not depend on the CPU count.
     """
     ratios = check_ratios(ratios, batch_size)
     for name, count in (("runs", runs), ("batches_per_run", batches_per_run)):
@@ -184,38 +188,28 @@ def evaluate(
         if count < 1:
             raise ConfigError(f"{name} must be at least 1, got {count}")
     grid = list(product(enumerate(ratios), range(meta_test.k), range(runs)))
+
+    def score_cell(cell) -> float:
+        (ri, ratio), rotation, run = cell
+        rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
+        js = np.full(batches_per_run, rotation)
+        x, y = build_contaminated_task(meta_test, js, 1.0 - ratio, batch_size, rng)
+        return auroc(model.score_batch(x).s, y)
+
     widest = max(layer.weight.size for _name, kind, layer in model.blocks if kind == "linear")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = 1 if batch_size * widest > CELL_THREAD_MACS else min(cpus or 1, len(grid))
-    cell_auc = np.zeros((len(ratios), meta_test.k, runs))
-    counts = [0] * len(grid)  # each cell writes only its own slots
-    failures = []  # (cell index, error) of each cell that raised
-
-    def score_cells(first: int) -> None:
-        try:
-            for i in range(first, len(grid), n):
-                if failures:  # evaluate will raise: no further cell is needed
-                    return
-                (ri, ratio), rotation, run = grid[i]
-                rng = np.random.default_rng(np.random.SeedSequence([seed, ri, rotation, run]))
-                js = np.full(batches_per_run, rotation)
-                x, y = build_contaminated_task(meta_test, js, 1.0 - ratio, batch_size, rng)
-                scores = model.score_batch(x).s
-                cell_auc[ri, rotation, run] = auroc(scores, y)
-                counts[i] = len(scores)
-        except BaseException as exc:
-            failures.append((i, exc))
-
-    helpers = [threading.Thread(target=score_cells, args=(first,)) for first in range(1, n)]
-    try:
-        for helper in helpers:
-            helper.start()
-        score_cells(0)
-    finally:
-        for helper in filter(threading.Thread.is_alive, helpers):
-            helper.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    n = 1 if batch_size * widest > CELL_THREAD_MACS else min(CELL_THREADS, cpus or 1, len(grid))
+    if n == 1:
+        aucs = [score_cell(cell) for cell in grid]
+    else:
+        pool = ThreadPoolExecutor(n - 1)
+        try:  # the caller scores every n-th cell and takes results in cell order,
+            # so it raises the first failed cell's error, as the serial loop does
+            helped = {i: pool.submit(score_cell, cell) for i, cell in enumerate(grid) if i % n}
+            aucs = [helped[i].result() if i % n else score_cell(c) for i, c in enumerate(grid)]
+        finally:
+            pool.shutdown(cancel_futures=True)  # drops cells not yet started, joins the threads
+    cell_auc = np.array(aucs).reshape(len(ratios), meta_test.k, runs)
 
     run_means = cell_auc.mean(axis=1)  # average rotations per run
     per_ratio = {r: (float(m.mean()), float(m.std())) for r, m in zip(ratios, run_means)}
@@ -223,5 +217,5 @@ def evaluate(
         auroc=float(np.mean([m for m, _ in per_ratio.values()])),
         per_ratio=per_ratio,
         cells=dict(zip(ratios, cell_auc.tolist())),
-        n_scored=sum(counts),
+        n_scored=len(grid) * batches_per_run * batch_size,
     )

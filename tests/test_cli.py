@@ -345,8 +345,8 @@ class TestEval:
     def test_out_of_memory_on_a_helper_thread_is_runtime_error(
         self, tiny_config, tmp_path, capsys, monkeypatch
     ):
-        # evaluate scores cells on one thread per CPU; an error on a thread
-        # other than the caller's reaches main unchanged
+        # with two CPUs evaluate scores every other cell on a helper thread;
+        # an error there reaches main unchanged
         ckpt = tmp_path / "m.ckpt"
         main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)

@@ -5,14 +5,17 @@ import os
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from batchad import evaluation
 from batchad.data import GaussianMetaSpec, generate_gaussian_metaset
 from batchad.errors import BatchTooSmallError, ConfigError, UndefinedMetricError
 from batchad.evaluation import (
     CELL_THREAD_MACS,
+    CELL_THREADS,
     auroc,
     collect_latents,
     evaluate,
@@ -381,14 +384,14 @@ class TestEvaluateThreads:
                 model, test_meta, ratios=ratios, runs=runs, seed=3,
                 batch_size=rows, batches_per_run=2,
             )
-            n_cells = 2 * len(ratios) * runs
-            assert len(threads) == (1 if rows == self.GUARD_ROWS else min(cpus, n_cells))
+            assert threading.current_thread() in threads
+            assert len(threads) == (1 if cpus == 1 or rows == self.GUARD_ROWS else CELL_THREADS)
         for cpus in (2, 7):
             for key in ("cells", "per_ratio", "auroc", "n_scored"):
                 assert getattr(reports[cpus], key) == getattr(reports[1], key), (cpus, key)
         assert reports[1].n_scored == 2 * len(ratios) * runs * 2 * rows
 
-    @pytest.mark.parametrize("cpu_count, want", [(3, 3), (None, 1)])
+    @pytest.mark.parametrize("cpu_count, want", [(1, 1), (None, 1), (3, CELL_THREADS)])
     def test_cpu_count_is_the_fallback_without_affinity(
         self, cpu_count, want, small_setup, monkeypatch
     ):
@@ -420,48 +423,64 @@ class TestEvaluateThreads:
         assert raised.value is error
         assert threading.enumerate() == before
 
-    def test_more_threads_than_cores_under_fast_switching(self, small_setup, monkeypatch):
-        # a lost update of a cell's value or count would change the report
+    def test_the_first_failed_cell_in_order_is_raised(self, small_setup, monkeypatch):
+        # cell 1 fails at once on the helper, cell 0 only after a pause on
+        # the caller: the serial loop raises cell 0's error, and so must evaluate
+        _, test_meta = small_setup
+        with_cpus(monkeypatch, 2)
+
+        def build(meta, js, pi, batch_size, rng):
+            if js[0] == 0:  # ratios [0.1] and one run: the rotation is the cell
+                time.sleep(0.2)
+            raise ValueError(f"cell {js[0]} fails")
+
+        monkeypatch.setattr(evaluation, "build_contaminated_task", build)
+        with pytest.raises(ValueError, match="^cell 0 fails$"):
+            evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], runs=1, batch_size=20)
+
+    def test_threads_under_fast_switching_give_the_serial_report(self, small_setup, monkeypatch):
+        # a lost or misplaced cell value would change the report
         _, test_meta = small_setup
         model = untrained_model(dim=4)
-        cpus = (os.cpu_count() or 1) + 1
-        kw = dict(ratios=[0.1, 0.2], runs=cpus, seed=4, batch_size=20, batches_per_run=2)
+        kw = dict(ratios=[0.1, 0.2], runs=7, seed=4, batch_size=20, batches_per_run=2)
         with_cpus(monkeypatch, 1)
         serial = evaluate(model, test_meta, **kw)
         threads = scoring_threads(monkeypatch, model)
-        with_cpus(monkeypatch, cpus)
+        with_cpus(monkeypatch, 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = evaluate(model, test_meta, **kw)
         finally:
             sys.setswitchinterval(interval)
-        assert len(threads) == cpus
+        assert len(threads) == CELL_THREADS
         assert threaded.cells == serial.cells
-        assert threaded.n_scored == serial.n_scored == 2 * 2 * cpus * 2 * 20
+        assert threaded.n_scored == serial.n_scored == 2 * 2 * 7 * 2 * 20
 
     def test_a_failed_cell_stops_the_other_threads(self, small_setup, monkeypatch):
-        # cell 0 fails on the calling thread; the helper stops at its next
-        # cell instead of going on through its stride of 100 cells
+        # the first cell scored fails; the cells not yet started are dropped
+        # instead of being scored through the other 199
         _, test_meta = small_setup
         model = untrained_model(dim=4)
         with_cpus(monkeypatch, 2)
-        caller = threading.get_ident()
-        helper_calls = []
+        calls = []
+        lock = threading.Lock()
         score = model.score_batch
 
-        def fail_on_caller(x):
-            if threading.get_ident() == caller:
-                raise ValueError("the first cell fails")
-            helper_calls.append(1)
+        def fail_first(x):
+            with lock:
+                calls.append(1)
+                first = len(calls) == 1
+            if first:
+                raise ValueError("the first cell scored fails")
             return score(x)
 
-        monkeypatch.setattr(model, "score_batch", fail_on_caller)
-        with pytest.raises(ValueError, match="^the first cell fails$"):
+        monkeypatch.setattr(model, "score_batch", fail_first)
+        with pytest.raises(ValueError, match="^the first cell scored fails$"):
             evaluate(
                 model, test_meta, ratios=[0.1, 0.2], runs=50, batch_size=20, batches_per_run=2
             )
-        assert len(helper_calls) < 100
+        assert len(calls) < 100
 
 
 class TestCollectLatents:
