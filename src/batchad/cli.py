@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,12 @@ from .config import ExperimentConfig, parse_flat_config, resolve_config
 from .data import (
     GAUSSIAN_PRESETS,
     GaussianMetaSpec,
-    TabularSource,
     augment_with_permutations,
     generate_gaussian_metaset,
     load_tabular,
     save_metaset_csv,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
 from .model import load_checkpoint, save_checkpoint
 from .training import train
@@ -53,13 +52,8 @@ def _load_config(args) -> ExperimentConfig:
             values = parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc}") from None
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed" if args.cmd == "train" else "eval_seed"] = args.seed
-    if getattr(args, "ratios", None) is not None:
-        overrides["ratios"] = args.ratios
-    if getattr(args, "runs", None) is not None:
-        overrides["runs"] = args.runs
+    overrides = {key: getattr(args, key, None) for key in ("ratios", "runs")}
+    overrides["seed" if args.cmd == "train" else "eval_seed"] = getattr(args, "seed", None)
     return resolve_config(values, overrides)
 
 
@@ -86,18 +80,10 @@ def _sidecar_train_bins(path: Path) -> int:
 def build_metasets(cfg: ExperimentConfig):
     """Materialize (train, test) meta-sets from the configured source."""
     if cfg.data_csv:
-        csv_path = Path(cfg.data_csv)
-        train_bins = cfg.train_bins
-        sidecar = csv_path.with_suffix(".json")
-        if train_bins is None and sidecar.exists():
-            train_bins = _sidecar_train_bins(sidecar)
-        source = TabularSource(
-            path=str(csv_path),
-            label_col=cfg.label_col,
-            timestamp_col=cfg.timestamp_col or None,
-            train_bins=train_bins,
-            delimiter=cfg.delimiter,
-        )
+        source = cfg.tabular_source()
+        sidecar = Path(cfg.data_csv).with_suffix(".json")
+        if source.train_bins is None and sidecar.exists():
+            source = replace(source, train_bins=_sidecar_train_bins(sidecar))
         train_meta, test_meta = load_tabular(source)
     else:
         # the configured preset with every synthetic override the config sets
@@ -157,7 +143,7 @@ def _record_skeleton(kind: str, cfg: ExperimentConfig) -> dict:
     return {
         "record": kind,
         "version": __version__,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "config_hash": cfg.hash(),
     }
 
@@ -178,8 +164,7 @@ def _fmt_auc(mean: float, std: float) -> str:
 # ----- subcommands -------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    check_value("--seed", args.seed, int, 0)
     train_meta, test_meta = generate_gaussian_metaset(_preset(args.preset), args.seed)
     csv_path, json_path = save_metaset_csv(train_meta, test_meta, args.out, seed=args.seed)
     print(f"wrote {csv_path}")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import tomllib
-from dataclasses import dataclass, fields
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass, fields
 
-from .errors import ConfigError
+from .data import TabularSource
+from .errors import ConfigError, check_value
 from .evaluation import DEFAULT_RATIOS, check_ratios
 from .training import TrainConfig
 
@@ -58,63 +57,30 @@ class ExperimentConfig(TrainConfig):
     def __post_init__(self):
         super().__post_init__()
         check_ratios(self.ratios, self.eval_batch_size)
-        for name in ("runs", "eval_batches"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("data_seed", "eval_seed", "permutations"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if len(self.delimiter) != 1:
-            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
+        bounds = dict(runs=1, eval_batches=1, data_seed=0, eval_seed=0, permutations=0)
+        for name, least in bounds.items():
+            check_value(name, getattr(self, name), int, least)
+        self.tabular_source()  # the source's own check, without reading it
 
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+    def tabular_source(self) -> TabularSource:
+        """The ``data_csv`` source this config reads."""
+        return TabularSource(
+            self.data_csv or "", self.label_col, self.timestamp_col, self.train_bins, self.delimiter
+        )
 
     def hash(self) -> str:
-        payload = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        payload = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_FIELD_HINTS = get_type_hints(ExperimentConfig)
-
-
-def _fits(value, hint) -> bool:
-    """Whether ``value`` is of the annotated type: a bool only for a bool,
-    an int also for a float, a list for a tuple of its item type."""
-    args = get_args(hint)
-    if get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
-    if args:  # X | None
-        return any(_fits(value, arm) for arm in args)
-    if isinstance(value, bool) != (hint is bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def resolve_config(values: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Merge file values and CLI overrides into a validated config.
 
     Raises :class:`ConfigError` naming the first unknown key, or the first
-    key whose value is of the wrong type or a non-finite float.
+    field whose value :class:`ExperimentConfig` rejects.
     """
-    merged = dict(values)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            merged[key] = val
-    unknown = sorted(set(merged) - set(_FIELD_TYPES))
+    merged = {**values, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    unknown = sorted(set(merged) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    for key, val in merged.items():
-        if not _fits(val, _FIELD_HINTS[key]):
-            raise ConfigError(f"config key {key!r} must be {_FIELD_TYPES[key]}, got {val!r}")
-        items = val if isinstance(val, list) else [val]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ConfigError(f"config key {key!r} must be finite, got {val!r}")
-    return ExperimentConfig(
-        **{key: tuple(val) if isinstance(val, list) else val for key, val in merged.items()}
-    )
+    return ExperimentConfig(**merged)

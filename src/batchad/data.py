@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, check_value
 from .nn import DTYPE
 from .tasks import MetaDataset
 
@@ -36,14 +37,12 @@ class GaussianMetaSpec:
     within_scale: float = 1.0
 
     def __post_init__(self):
-        if self.train_distributions < 2 or self.test_distributions < 1:
-            raise ConfigError("need at least 2 train and 1 test distributions")
+        check_fields(self, dim=1, train_distributions=2, test_distributions=1,
+                     samples_per_distribution=2)
         if not self.mean_scale > self.within_scale:
             raise ConfigError(
                 "mean_scale must exceed within_scale or the pools are indistinguishable"
             )
-        if self.samples_per_distribution < 2 or self.dim < 1:
-            raise ConfigError("invalid pool size or dimension")
 
 
 GAUSSIAN_PRESETS = {
@@ -136,11 +135,16 @@ class TabularSource:
     everywhere.
     """
 
-    path: str
+    path: str | os.PathLike
     label_col: str = "label"
     timestamp_col: str | None = "bin"
     train_bins: int | None = None
     delimiter: str = ","
+
+    def __post_init__(self):
+        check_fields(self)
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 def _standardize(x: np.ndarray, fit: np.ndarray) -> np.ndarray:
@@ -316,8 +320,7 @@ def augment_with_permutations(meta: MetaDataset, n_perms: int, seed: int) -> Met
     K grows to K*(1+n_perms); each copy gets its own random permutation. The
     original pools are left untouched (copies are new arrays).
     """
-    if n_perms < 0:
-        raise ConfigError("n_perms must be nonnegative")
+    check_value("n_perms", n_perms, int, 0)
     if n_perms == 0:
         return meta
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError, check_value
 from .model import DetectorModel
 from .nn import DTYPE, as_batch
 from .tasks import MetaDataset, build_contaminated_task, normal_count, sample_iteration_tasks
@@ -35,8 +35,7 @@ CELL_THREADS = 2
 def check_ratios(ratios, batch_size: int) -> list[float]:
     """The anomaly ratios as floats, each in (0, 0.5) and leaving at least one
     anomaly and a normal majority in a batch of ``batch_size`` rows."""
-    if batch_size < 2:
-        raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
+    check_value("batch_size", batch_size, int, 2)
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ConfigError("ratios must list at least one anomaly ratio")
@@ -181,12 +180,10 @@ def evaluate(
     ``CELL_THREAD_MACS`` multiply-adds. An error raised is the first failed
     cell's in cell order. The report does not depend on the CPU count.
     """
-    ratios = check_ratios(ratios, batch_size)
-    for name, count in (("runs", runs), ("batches_per_run", batches_per_run)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ConfigError(f"{name} must be an int, got {count!r}")
-        if count < 1:
-            raise ConfigError(f"{name} must be at least 1, got {count}")
+    check_value("runs", runs, int, 1)
+    check_value("batches_per_run", batches_per_run, int, 1)
+    check_value("seed", seed, int, 0)
+    ratios = check_ratios(ratios, batch_size)  # checks batch_size too
     grid = list(product(enumerate(ratios), range(meta_test.k), range(runs)))
 
     def score_cell(cell) -> float:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import ConfigError, check_fields
 from .nn import (
     BN_BATCH,
     BN_FROZEN,
@@ -65,10 +66,11 @@ class Architecture:
     layers; ``bn_mask`` (None: all on) switches individual positions to
     affine identity (the layer-position ablation). ``inverse_eps`` guards the
     distance head's inverse score; ``center_frozen`` keeps its center fixed
-    in training. Construction is the only check of these settings: a wrong
-    type or value raises ``TypeError`` or ``ValueError``. ``hidden`` and
-    ``bn_mask`` are kept as tuples of the given entries, except that a mask
-    with every position on is kept as None, so equal models compare equal.
+    in training. Construction is the only check of these settings: a bad
+    one raises :class:`ConfigError`, a ``TypeError`` too if of the wrong type.
+    ``hidden`` and ``bn_mask`` are kept as tuples of the given entries, except
+    that a mask with every position on is kept as None, so equal models
+    compare equal.
     """
 
     input_dim: int
@@ -82,39 +84,22 @@ class Architecture:
     center_frozen: bool = False
 
     def __post_init__(self):
-        hidden = self.hidden
-        if not isinstance(hidden, (list, tuple)) or any(type(h) is not int for h in hidden):
-            raise TypeError(f"hidden must be a list of ints, got {hidden!r}")
-        object.__setattr__(self, "hidden", tuple(hidden))
-        for name in ("input_dim", "latent_dim"):
-            if type(getattr(self, name)) is not int:
-                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in ("input_bn", "center_frozen"):
-            if type(getattr(self, name)) is not bool:
-                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.input_dim < 1 or self.latent_dim < 1:
-            raise ValueError("dimensions must be positive")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be positive")
+        check_fields(self, input_dim=1, hidden=1, latent_dim=1)
         if self.head not in HEADS:
-            raise ValueError(f"unknown head {self.head!r}")
+            raise ConfigError(f"unknown head {self.head!r}")
         if self.bn_mode not in BN_MODES:
-            raise ValueError(f"unknown bn_mode {self.bn_mode!r}")
+            raise ConfigError(f"unknown bn_mode {self.bn_mode!r}")
         if self.bn_mask is not None:
-            if not isinstance(self.bn_mask, (list, tuple)):
-                raise TypeError(f"bn_mask must be a list, got {self.bn_mask!r}")
-            object.__setattr__(self, "bn_mask", tuple(self.bn_mask))
             if any(m not in (0, 1) for m in self.bn_mask):
-                raise ValueError(f"bn_mask entries must be 0 or 1, got {list(self.bn_mask)}")
+                raise ConfigError(f"bn_mask entries must be 0 or 1, got {list(self.bn_mask)}")
             n_bn = self.n_bn_positions()
             if len(self.bn_mask) != n_bn:
-                raise ValueError(f"bn_mask must have {n_bn} entries, got {len(self.bn_mask)}")
+                raise ConfigError(f"bn_mask must have {n_bn} entries, got {len(self.bn_mask)}")
             if all(self.bn_mask):  # one form for "all on"
                 object.__setattr__(self, "bn_mask", None)
-        eps = self.inverse_eps
-        if not (isinstance(eps, (int, float)) and not isinstance(eps, bool) and 0 < eps < math.inf):
-            raise ValueError(f"inverse_eps must be positive and finite, got {eps!r}")
-        object.__setattr__(self, "inverse_eps", float(eps))
+        if not self.inverse_eps > 0:
+            raise ConfigError(f"inverse_eps must be positive and finite, got {self.inverse_eps!r}")
+        object.__setattr__(self, "inverse_eps", float(self.inverse_eps))
 
     def n_bn_positions(self) -> int:
         return int(self.input_bn) + len(self.hidden) + (1 if self.head == HEAD_DSVDD else 0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_fields
 from .model import Architecture, DetectorModel, HEAD_DSVDD
 from .nn import BN_BATCH, BN_FROZEN, BN_IDENTITY, Adam
 from .scores import LOSS_META_OE, LOSSES
@@ -56,25 +56,15 @@ class TrainConfig:
     center_frozen: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_fields(self, iterations=1, tasks_per_iter=1, batch_size=2, seed=0)
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.5 < self.pi <= 1.0:
             raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
         normal_count(self.pi, self.batch_size)
-        if self.tasks_per_iter < 1:
-            raise ConfigError(f"tasks_per_iter must be at least 1, got {self.tasks_per_iter}")
-        try:
-            self.architecture(1)  # the model's own check, without building it
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        self.architecture(1)  # the model's own check, without building it
 
     def architecture(self, input_dim: int) -> Architecture:
         """The detector this config trains, for ``input_dim`` features."""

@@ -126,7 +126,16 @@ class TestTrain:
         bad.write_text(TINY_CONFIG + 'seed = "x"\n')
         code = main(["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
-        assert "'seed'" in capsys.readouterr().err
+        assert "error: seed must be an int, got 'x'" in capsys.readouterr().err
+
+    def test_float_for_an_int_key_is_config_error_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(TINY_CONFIG.replace("iterations = 8", "iterations = 2.5"))
+        ckpt = tmp_path / "m.ckpt"
+        code = main(["train", "--config", str(bad), "--out", str(ckpt)])
+        assert code == 2
+        assert "error: iterations must be an int, got 2.5" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("key", ["seed", "data_seed", "eval_seed"])
     def test_negative_seed_key_is_config_error_naming_it(self, key, tmp_path, capsys):

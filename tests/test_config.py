@@ -1,5 +1,6 @@
 """Experiment config validation and the training settings it carries."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -18,18 +19,18 @@ from batchad.training import TrainConfig
         ({"iterations": 0}, "got 0"),
         ({"ratios": [0.6]}, "0.6"),
         ({"eval_batch_size": 10, "ratios": [0.05]}, "0.05"),
-        ({"iterations": "abc"}, "'iterations' must be int, got 'abc'"),
-        ({"seed": "x"}, "'seed' must be int, got 'x'"),
-        ({"runs": 2.5}, "'runs' must be int, got 2.5"),
+        ({"iterations": "abc"}, "iterations must be an int, got 'abc'"),
+        ({"seed": "x"}, "seed must be an int, got 'x'"),
+        ({"runs": 2.5}, "runs must be an int, got 2.5"),
         ({"ratios": []}, "ratios must list at least one"),
-        ({"input_bn": 1}, "'input_bn' must be bool, got 1"),
-        ({"pi": True}, "'pi' must be float, got True"),
-        ({"hidden": [8, "a"]}, "'hidden' must be tuple"),
-        ({"data_preset": {"dim": 3}}, "'data_preset' must be str"),
-        ({"learning_rate": float("nan")}, "'learning_rate' must be finite, got nan"),
-        ({"mean_scale": float("inf")}, "'mean_scale' must be finite, got inf"),
-        ({"within_scale": float("nan")}, "'within_scale' must be finite, got nan"),
-        ({"ratios": [0.1, float("-inf")]}, "'ratios' must be finite"),
+        ({"input_bn": 1}, "input_bn must be a bool, got 1"),
+        ({"pi": True}, "pi must be a float, got True"),
+        ({"hidden": [8, "a"]}, "hidden must be a list of ints"),
+        ({"data_preset": {"dim": 3}}, "data_preset must be a string"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
+        ({"mean_scale": float("inf")}, "mean_scale must be finite, got inf"),
+        ({"within_scale": float("nan")}, "within_scale must be finite, got nan"),
+        ({"ratios": [0.1, float("-inf")]}, "ratios must be finite"),
         ({"delimiter": ""}, "delimiter must be one character, got ''"),
         ({"pi": 0.51, "batch_size": 10}, "pi=0.51 with batch_size=10 does not give a normal"),
     ],
@@ -67,8 +68,9 @@ def test_constructed_or_replaced_config_is_validated(changes):
 
 @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1e-3])
 def test_learning_rate_that_is_not_positive_is_config_error_naming_it(rate):
-    # resolve_config rejects a NaN first; the dataclass is the library's check
-    with pytest.raises(ConfigError, match=f"^learning_rate must be positive, got {rate}$"):
+    # the validator rejects a NaN as non-finite before the range check runs
+    must = "finite" if math.isnan(rate) else "positive"
+    with pytest.raises(ConfigError, match=f"^learning_rate must be {must}, got {rate}$"):
         TrainConfig(learning_rate=rate)
 
 

@@ -66,7 +66,7 @@ class TestGaussianGenerator:
 
     @pytest.mark.parametrize("field", ["mean_scale", "within_scale"])
     def test_nan_scale_is_config_error_naming_it(self, field):
-        with pytest.raises(ConfigError, match="^mean_scale must exceed within_scale "):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got nan$"):
             GaussianMetaSpec(**{field: float("nan")})
 
     def test_train_and_test_rows_disjoint(self):

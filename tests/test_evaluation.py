@@ -340,6 +340,33 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("batch_size", 60.0, "batch_size must be an int, got 60.0"),
+            ("batch_size", True, "batch_size must be an int, got True"),
+            ("batch_size", 1, "batch_size must be at least 2, got 1"),
+            ("seed", -1, "seed must be nonnegative, got -1"),
+            ("seed", 1.5, "seed must be an int, got 1.5"),
+            ("seed", "0", "seed must be an int, got '0'"),
+        ],
+        ids=str,
+    )
+    def test_batch_size_and_seed_are_checked_like_the_counts(
+        self, name, value, message, small_setup
+    ):
+        _, test_meta = small_setup
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], **{name: value})
+
+    def test_numpy_integer_arguments_give_the_int_report(self, small_setup):
+        _, test_meta = small_setup
+        model = untrained_model(dim=4)
+        ints = dict(runs=2, batches_per_run=3, batch_size=20, seed=7)
+        a = evaluate(model, test_meta, ratios=[0.1], **ints)
+        b = evaluate(model, test_meta, ratios=[0.1], **{k: np.int64(v) for k, v in ints.items()})
+        assert a.cells == b.cells and a.n_scored == b.n_scored
+
 
 def with_cpus(monkeypatch, count: int) -> None:
     """Make the process see ``count`` CPUs it may use."""

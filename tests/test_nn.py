@@ -334,21 +334,22 @@ class TestArchitecture:
             ("head", "x", ValueError, "unknown head 'x'"),
             ("bn_mode", "x", ValueError, "unknown bn_mode 'x'"),
             ("bn_mask", (2, 1, 1), ValueError, "bn_mask entries must be 0 or 1, got [2, 1, 1]"),
-            ("bn_mask", ("0", 1, 1), ValueError, "bn_mask entries must be 0 or 1, got ['0', 1, 1]"),
+            ("bn_mask", ("0", 1, 1), ValueError,
+             "bn_mask must be a list of ints or None, got ('0', 1, 1)"),
             ("bn_mask", (1, 1), ValueError, "bn_mask must have 3 entries, got 2"),
             ("bn_mask", (1, 1, 1, 1), ValueError, "bn_mask must have 3 entries, got 4"),
-            ("bn_mask", 5, TypeError, "bn_mask must be a list, got 5"),
+            ("bn_mask", 5, TypeError, "bn_mask must be a list of ints or None, got 5"),
             ("inverse_eps", 0.0, ValueError, EPS + "0.0"),
             ("inverse_eps", -1e-6, ValueError, EPS + "-1e-06"),
-            ("inverse_eps", math.nan, ValueError, EPS + "nan"),
-            ("inverse_eps", math.inf, ValueError, EPS + "inf"),
-            ("inverse_eps", "1e-6", ValueError, EPS + "'1e-6'"),
-            ("inverse_eps", True, ValueError, EPS + "True"),
+            ("inverse_eps", math.nan, ValueError, "inverse_eps must be finite, got nan"),
+            ("inverse_eps", math.inf, ValueError, "inverse_eps must be finite, got inf"),
+            ("inverse_eps", "1e-6", ValueError, "inverse_eps must be a float, got '1e-6'"),
+            ("inverse_eps", True, ValueError, "inverse_eps must be a float, got True"),
             ("center_frozen", 0, TypeError, "center_frozen must be a bool, got 0"),
             ("center_frozen", "no", TypeError, "center_frozen must be a bool, got 'no'"),
-            ("input_dim", 0, ValueError, "dimensions must be positive"),
-            ("latent_dim", 0, ValueError, "dimensions must be positive"),
-            ("hidden", (6, 0), ValueError, "hidden widths must be positive"),
+            ("input_dim", 0, ValueError, "input_dim must be at least 1, got 0"),
+            ("latent_dim", 0, ValueError, "latent_dim must be at least 1, got 0"),
+            ("hidden", (6, 0), ValueError, "hidden must be at least 1, got (6, 0)"),
             ("input_dim", True, TypeError, "input_dim must be an int, got True"),
             ("latent_dim", 4.0, TypeError, "latent_dim must be an int, got 4.0"),
             ("hidden", (6, True), TypeError, "hidden must be a list of ints, got (6, True)"),

@@ -185,7 +185,7 @@ class TestTrainLoop:
     def test_frozen_mode_with_a_masked_position(self, tmp_path):
         # a masked-off position is identity and gets no statistics
         meta = toy_two_pool_meta(n=300)
-        model, _ = train(meta, small_cfg(bn_mode="frozen", bn_mask=(True, False, True)))
+        model, _ = train(meta, small_cfg(bn_mode="frozen", bn_mask=(1, 0, 1)))
         assert model.has_frozen_stats()
         norms = [layer for _n, kind, layer in model.blocks if kind == "bn"]
         assert norms[1].frozen_mean is None
@@ -199,7 +199,7 @@ class TestTrainLoop:
         # all positions masked off must reproduce the identity-mode trajectory
         meta = toy_two_pool_meta(n=300)
         n_bn = len(small_cfg().hidden) + 1
-        masked = train(meta, small_cfg(bn_mask=(False,) * n_bn))[1]
+        masked = train(meta, small_cfg(bn_mask=(0,) * n_bn))[1]
         ident = train(meta, small_cfg(bn_mode="identity"))[1]
         assert masked.loss_curve == ident.loss_curve
 
