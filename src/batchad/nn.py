@@ -4,9 +4,10 @@ with batch-computed statistics, reverse-mode gradients, and Adam.
 All activations are float64 numpy arrays of shape ``(..., batch, features)``:
 either one ``(batch, features)`` batch or a ``(tasks, batch, features)`` stack
 of equally sized batches. Batch normalization takes its statistics per batch
-along the row axis (``axis=-2``) and ``Linear`` multiplies per batch, so each
-batch of a stack gets the bits it gets alone; parameter gradients are summed
-over every row of the stack.
+along the row axis (``axis=-2``) and ``Linear`` multiplies per batch, forward
+and backward, so each batch of a stack gets the bits it gets alone and no
+product spans two batches; parameter gradients are summed per batch, then
+over the stack in stack order.
 Forward passes return an ``(output, cache)`` pair; the cache is call-local
 and no forward or backward pass mutates a layer, so a trained model can score
 concurrent batches. A layer names its parameter attributes in ``PARAMS``; its
@@ -75,8 +76,10 @@ class Linear:
         self.out_dim = out_dim
 
     def forward(self, x: np.ndarray):
-        """Output and cache. A stack takes one product per batch: a BLAS may
-        pick its kernel, and so its summation order, by the number of rows.
+        """Output and cache. A stack takes one product per batch, as in the
+        backward pass: a BLAS may pick its kernel, and so its summation order,
+        by the number of rows, and OpenBLAS splits a product of a few hundred
+        rows over threads whose worker then spins for about 0.1 s.
 
         The right operand is a C-contiguous copy of ``W.T``, made per call.
         OpenBLAS (0.3.31) multiplies a transposed operand of a product of up
@@ -89,14 +92,17 @@ class Linear:
 
     def weight_grad(self, grad: np.ndarray, cache, g_weight: np.ndarray) -> None:
         """Write the weight gradient into ``g_weight``; the whole backward
-        pass of a first layer, whose input gradient nothing reads."""
-        x = cache.reshape(-1, self.in_dim)
-        np.matmul(grad.reshape(-1, self.out_dim).T, x, out=g_weight)
+        pass of a first layer, whose input gradient nothing reads. A stack
+        takes one product per batch, ``grad_t.T @ x_t``, summed in stack
+        order as batch norm sums its parameter gradients."""
+        per_batch = np.matmul(grad.swapaxes(-1, -2), cache)
+        per_batch.reshape(-1, self.out_dim, self.in_dim).sum(axis=0, out=g_weight)
 
     def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray):
-        """Input gradient; writes the weight gradient into ``g_weight``."""
+        """Input gradient, one product per batch of a stack as in the forward
+        pass; writes the weight gradient into ``g_weight``."""
         self.weight_grad(grad, cache, g_weight)
-        return (grad.reshape(-1, self.out_dim) @ self.weight).reshape(cache.shape)
+        return np.matmul(grad, self.weight)
 
 
 class BatchNorm:

@@ -295,13 +295,18 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 def reference_linear(layer, x: np.ndarray, grad: np.ndarray):
     """(output, input gradient, weight gradient) of a Linear layer; a stack's
-    output is one product per batch, by a contiguous copy of ``W.T``."""
+    output and input gradient are one product per batch, the output by a
+    contiguous copy of ``W.T``, and its weight gradient is the in-order sum
+    of the per-batch products ``grad_t.T @ x_t``."""
     w_t = np.ascontiguousarray(layer.weight.T)
-    out = np.stack([batch @ w_t for batch in x.reshape(-1, *x.shape[-2:])])
-    rows_in = x.reshape(-1, layer.in_dim)
-    rows = grad.reshape(-1, layer.out_dim)
-    g_x = (rows @ layer.weight).reshape(x.shape)
-    return out.reshape(*x.shape[:-1], layer.out_dim), g_x, rows.T @ rows_in
+    batches = x.reshape(-1, *x.shape[-2:])
+    grads = grad.reshape(-1, *grad.shape[-2:])
+    out = np.stack([batch @ w_t for batch in batches])
+    g_x = np.stack([g @ layer.weight for g in grads])
+    g_weight = grads[0].T @ batches[0]
+    for g, batch in zip(grads[1:], batches[1:]):
+        g_weight = g_weight + g.T @ batch
+    return out.reshape(*x.shape[:-1], layer.out_dim), g_x.reshape(x.shape), g_weight
 
 
 def reference_batchnorm(layer, x: np.ndarray, mode: str, grad: np.ndarray):

@@ -145,6 +145,25 @@ def test_taped_stack_forward_gives_each_batch_its_own_bits(head, batch):
             assert_same_bits(got[t], want)
 
 
+@pytest.mark.parametrize("batch", [6, 60])
+@pytest.mark.parametrize("tasks", [2, 8])
+def test_stacked_linear_backward_sums_each_batch_own_products(tasks, batch):
+    # a product over every row of the stack would let the BLAS pick other
+    # kernels, or split it over threads; per batch, no product spans batches
+    rng = np.random.default_rng(8)
+    lin = Linear(64, 32, rng)
+    x = rng.normal(size=(tasks, batch, 64))
+    grad = rng.normal(size=(tasks, batch, 32))
+    g_weight = np.zeros_like(lin.weight)
+    g_x = lin.backward(grad, x, g_weight)
+    summed = np.zeros_like(lin.weight)
+    for t in range(tasks):
+        own = np.zeros_like(lin.weight)
+        assert_same_bits(g_x[t], lin.backward(grad[t], x[t], own))
+        summed = own if t == 0 else summed + own
+    assert_same_bits(g_weight, summed)
+
+
 def test_bce_latent_precedes_the_last_relu():
     # the bce head's last normalization output feeds a ReLU, which works in
     # place; the latent must keep the negative half a batch-normalized column has
