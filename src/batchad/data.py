@@ -149,10 +149,13 @@ class TabularSource:
 
 def _standardize(x: np.ndarray, fit: np.ndarray) -> np.ndarray:
     """``(x - mean) / scale`` with the per-feature mean and standard deviation
-    of the rows ``fit``; a zero-variance feature gets scale 1."""
+    of the rows ``fit``; a zero-variance feature gets scale 1. Works in place
+    on ``x`` and returns it; ``fit`` may be ``x`` itself."""
     mean = fit.mean(axis=0)
     scale = fit.std(axis=0)
-    return (x - mean) / np.where(scale > 0, scale, 1.0)
+    x -= mean
+    x /= np.where(scale > 0, scale, 1.0)
+    return x
 
 
 def _bin_sort_key(value: str):
@@ -165,7 +168,7 @@ def _bin_sort_key(value: str):
 
 
 # rows converted per pass: the file's rows are never all held as strings at once
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_ROWS = 1024
 
 
 def _row_chunks(reader, path: Path):
@@ -209,26 +212,18 @@ def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict):
     return features, labels, np.fromiter(map(codes.__getitem__, stamps), np.intp, n)
 
 
-def _row_is_valid(row, width: int, feat_idx, label_idx) -> bool:
-    """The checks of ``_convert_rows`` for one row, without numpy's per-call cost."""
-    try:
-        return len(row) >= width and int(row[label_idx]) in (0, 1) and all(
-            math.isfinite(float(row[c])) for c in feat_idx
-        )
-    except ValueError:
-        return False
-
-
 def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None]:
     """Read a delimited file into (train meta-set, test meta-set).
 
-    The header's columns are checked before any row is read. Rows are then
-    read and converted ``CSV_CHUNK_ROWS`` at a time, so memory beyond the
-    result is bounded by one chunk. Without a timestamp column the whole file
-    forms a single training pool and the test side is ``None``. Rows that lack
-    a cell, do not parse or hold a non-finite value, malformed CSV and bytes
-    that are not UTF-8 abort the load with their line numbers; anomaly
-    detectors are too sensitive to imputation for silent repair to be safe.
+    The header's columns, and ``train_bins`` when a timestamp column is set,
+    are checked before any row is read. Rows are then read and converted
+    ``CSV_CHUNK_ROWS`` at a time, so besides the result the load holds one
+    chunk of strings, the parsed columns and one copy of the features.
+    Without a timestamp column the whole file forms a single training pool
+    and the test side is ``None``. Rows that lack a cell, do not parse or
+    hold a non-finite value, malformed CSV and bytes that are not UTF-8 abort
+    the load with their line numbers; anomaly detectors are too sensitive to
+    imputation for silent repair to be safe.
     """
     path = Path(source.path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -249,18 +244,20 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         feat_idx = [i for i in range(len(header)) if i not in skip]
         if not feat_idx:
             raise ConfigError(f"{path}: no feature columns")
+        if ts_idx is not None and source.train_bins is None:
+            raise ConfigError("train_bins is required when a timestamp column is set")
 
         codes: dict[str, int] = {}
-        columns = (feat_idx, label_idx, ts_idx, codes)
-        parts = [_convert_rows([], *columns)]  # so a file without rows has arrays too
+        columns = (feat_idx, label_idx, ts_idx)
+        parts = [_convert_rows([], *columns, codes)]  # so a file without rows has arrays too
         bad_lines: list[int] = []
         first_line = 2  # header is line 1
         for rows in chunks:
-            part = _convert_rows(rows, *columns)
+            part = _convert_rows(rows, *columns, codes)
             if part is None:  # a failed chunk: name its failing rows one by one
                 bad_lines += [
                     line for line, row in enumerate(rows, first_line)
-                    if not _row_is_valid(row, len(header), feat_idx, label_idx)
+                    if _convert_rows([row], *columns, {}) is None
                 ]
             parts.append(part)
             first_line += len(rows)
@@ -270,9 +267,11 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
         raise ValueError(f"{path}: unparseable or non-finite rows at lines {shown}{more}")
     features, labels, row_codes = (np.concatenate(column) for column in zip(*parts))
+    del parts
 
     if ts_idx is None:
         normal = features[labels == 0]
+        del features
         if len(normal) == 0:
             raise ConfigError(f"{path}: no normal rows")
         return MetaDataset(pools=(_standardize(normal, normal),), ids=(0,)), None
@@ -280,8 +279,6 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     bin_keys = sorted(codes, key=_bin_sort_key)
     if len(bin_keys) < 2:
         raise ConfigError(f"{path}: timestamp binning needs at least 2 bins, got {len(bin_keys)}")
-    if source.train_bins is None:
-        raise ConfigError("train_bins is required when a timestamp column is set")
     if not 1 <= source.train_bins < len(bin_keys):
         raise ConfigError(
             f"train_bins must lie in [1, {len(bin_keys) - 1}], got {source.train_bins}"
@@ -293,13 +290,14 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     train_norm = train_mask & (labels == 0)
     if not train_norm.any():
         raise ConfigError(f"{path}: training bins contain no normal rows")
-    features = _standardize(features, features[train_norm])
+    _standardize(features, features[train_norm])
 
     # every bin with normal rows is a pool, on the side its index falls on
     normal = {b: features[(row_bin == b) & (labels == 0)] for b in range(len(bin_keys))}
     train_ids = [b for b in range(source.train_bins) if len(normal[b])]
     test_ids = [b for b in range(source.train_bins, len(bin_keys)) if len(normal[b])]
     anomalies = features[(row_bin >= source.train_bins) & (labels == 1)]
+    del features  # the pools are copies, which MetaDataset copies once more
 
     if not train_ids or not test_ids:
         raise ConfigError(f"{path}: empty train or test side after binning")

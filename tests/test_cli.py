@@ -1,14 +1,19 @@
 """End-to-end command-line contracts: files, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import batchad.cli
 from batchad.cli import ABLATE_SUITES, main
+from batchad.data import GaussianMetaSpec, generate_gaussian_metaset, save_metaset_csv
 from batchad.model import Architecture, DetectorModel, save_checkpoint
 
 TINY_CONFIG = """\
@@ -206,6 +211,17 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert f"{data}: missing column 'label'" in capsys.readouterr().err
+
+    def test_missing_train_bins_is_reported_before_a_malformed_row(self, tmp_path, capsys):
+        # a timestamp column without train_bins (and without a sidecar to give
+        # it) is a config error, found before the malformed last row is read
+        data = tmp_path / "d.csv"
+        data.write_text("bin,label,f0\n0,0,1.0\n1,0,oops\n")
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{data}"\niterations = 2\n')
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "train_bins is required when a timestamp column is set" in capsys.readouterr().err
 
 
 class TestEval:
@@ -637,3 +653,93 @@ class TestAblate:
         assert code == 2
         assert line.split()[0] in capsys.readouterr().err
         assert calls == []
+
+
+# name: the config lines besides the data file; both train 20 iterations
+PROCESS_CONFIGS = {
+    # the default 8->64->64->64->32 net on 8 tasks of 60 rows
+    "default-net-60-rows": "",
+    # 256-row batches: products large enough for OpenBLAS to thread
+    "batch-256": "tasks_per_iter = 2\nbatch_size = 256\neval_batch_size = 256\n",
+}
+# name: (environment, pinned to one CPU), where None removes the variable.
+# The first leaves OpenBLAS its default threads; the others run one BLAS
+# thread under another string hash seed, or one CPU (and so one evaluation
+# thread)
+PROCESS_VARIANTS = {
+    "blas-default": ({"OPENBLAS_NUM_THREADS": None, "PYTHONHASHSEED": "0"}, False),
+    "blas-one-thread-hash-seed-1": ({"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "1"}, False),
+    "one-cpu": ({"OPENBLAS_NUM_THREADS": None, "PYTHONHASHSEED": "0"}, True),
+}
+
+
+def run_cli_processes(jobs):
+    """Run ``python -m batchad.cli`` once per ``(argv, cwd, variant)`` job in a
+    child process set up as ``PROCESS_VARIANTS`` says, one child per CPU at a
+    time (two at most)."""
+    src = str(Path(batchad.cli.__file__).parents[1])
+    cpus = sorted(os.sched_getaffinity(0))
+    procs = []
+    for argv, cwd, variant in jobs:
+        if len(procs) == min(2, len(cpus)):
+            finish(*procs.pop(0))
+        changes, pinned = PROCESS_VARIANTS[variant]
+        env = {key: value for key, value in {**os.environ, **changes}.items() if value is not None}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "batchad.cli", *argv], cwd=cwd, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            # the child's own CPU set only
+            preexec_fn=(lambda: os.sched_setaffinity(0, cpus[:1])) if pinned else None,
+        )
+        procs.append((proc, argv, variant))
+    for proc in procs:
+        finish(*proc)
+
+
+def finish(proc, argv, variant):
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # nothing to do once it has exited
+    assert proc.returncode == 0, (variant, argv, err.decode())
+
+
+def test_same_seed_same_bytes_across_processes(tmp_path):
+    # the same seed gives the same checkpoint and eval record whatever the
+    # BLAS thread count, CPU set or string hash seed of the process
+    csv_path, _ = save_metaset_csv(
+        *generate_gaussian_metaset(GaussianMetaSpec(samples_per_distribution=300), seed=0),
+        tmp_path, seed=0,
+    )
+    dirs = {}
+    for name, lines in PROCESS_CONFIGS.items():
+        (tmp_path / f"{name}.toml").write_text(
+            f'data_csv = "{csv_path}"\niterations = 20\nruns = 1\neval_batches = 2\n'
+            f"ratios = [0.1]\n{lines}"
+        )
+        for variant in PROCESS_VARIANTS:
+            dirs[name, variant] = tmp_path / name / variant
+            dirs[name, variant].mkdir(parents=True)
+    config = {key: str(tmp_path / f"{key[0]}.toml") for key in dirs}
+    run_cli_processes([
+        (["train", "--config", config[key], "--out", "m.ckpt"], cwd, key[1])
+        for key, cwd in dirs.items()
+    ])
+    run_cli_processes([
+        (["eval", "--config", config[key], "--model", "m.ckpt", "--out", "eval.jsonl"], cwd, key[1])
+        for key, cwd in dirs.items()
+    ])
+
+    def outputs(cwd):
+        records = [json.loads((cwd / "m.report.json").read_text())]
+        records += [json.loads(line) for line in (cwd / "eval.jsonl").read_text().splitlines()]
+        for record in records:
+            del record["wall_clock_s"]
+        return hashlib.sha256((cwd / "m.ckpt").read_bytes()).hexdigest(), records
+
+    for name in PROCESS_CONFIGS:
+        want = outputs(dirs[name, "blas-default"])
+        assert len(want[1]) == 2
+        for variant in PROCESS_VARIANTS:
+            assert outputs(dirs[name, variant]) == want, (name, variant)

@@ -194,16 +194,23 @@ class TestLoadTabular:
         assert orders == {("1", "1.0", "2", "3", "10", "nan", "x")}
 
     def test_traced_peak_of_a_24000_row_load(self, tmp_path):
-        # all 24,000 rows of gaussian8 as strings take 16.8 MiB, and holding
-        # them at once peaked at 18.8 MiB; one chunk of rows takes 2.9 MiB,
-        # the (24000, 8) features 1.5 MiB, and the chunked load peaks at 7.9 MiB
+        # all 24,000 rows of gaussian8 as strings take 17.0 MiB, and the
+        # one-pass reference loader, holding them at once, peaks at 22.0 MiB;
+        # one chunk of 1024 rows takes 0.7 MiB, the (24000, 8) features
+        # 1.5 MiB, and the chunked load peaks at 4.1 MiB
         csv_path, _ = save_metaset_csv(
             *generate_gaussian_metaset(GaussianMetaSpec(), seed=7), tmp_path, seed=7
         )
         source = TabularSource(path=str(csv_path), train_bins=8)
         load_tabular(source)
         peak = traced_peak(lambda: load_tabular(source))
-        assert peak <= 10 * MIB, peak
+        assert peak <= 5 * MIB, peak
+
+    @pytest.mark.parametrize("last_row", ["1,0,2.0", "1,0,oops"], ids=["good", "malformed"])
+    def test_missing_train_bins_is_reported_before_any_row(self, last_row, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["0,0,1.0", last_row], header="bin,label,f0")
+        with pytest.raises(ConfigError, match="^train_bins is required when a timestamp"):
+            load_tabular(TabularSource(path))
 
     def test_no_timestamp_column_single_pool(self, tmp_path):
         rows = ["0,1,2", "0,3,4", "1,9,9"]
