@@ -8,8 +8,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +144,8 @@ class TabularSource:
         check_fields(self)
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.delimiter in "\r\n":  # rows are lines before they are cells
+            raise ConfigError(f"delimiter must not be a line break, got {self.delimiter!r}")
 
 
 def _standardize(x: np.ndarray, fit: np.ndarray) -> np.ndarray:
@@ -171,15 +172,34 @@ def _bin_sort_key(value: str):
 CSV_CHUNK_ROWS = 1024
 
 
-def _row_chunks(reader, path: Path):
+def _row_chunks(fh, delimiter: str, path: Path):
     """Yield the header row (None for an empty file), then lists of at most
-    ``CSV_CHUNK_ROWS`` rows. Malformed CSV or a byte that is not UTF-8 raises
-    an error naming its line."""
+    ``CSV_CHUNK_ROWS`` rows. Each chunk's lines are split at ``delimiter``
+    while none of them holds a quote or more characters than the csv field
+    limit; from the first chunk that does, the ``csv`` module reads the rest
+    of the file. (It reads a NUL as any other character.) Malformed CSV or a
+    byte that is not UTF-8 raises an error naming its line."""
+    limit = csv.field_size_limit()
+    split = 0  # lines split before the csv module took over
+    reader = None
+
+    def read(size: int) -> list:
+        nonlocal split, reader
+        if reader is None:
+            lines = list(islice(fh, size))
+            if '"' not in "".join(lines) and max(map(len, lines), default=0) <= limit:
+                split += len(lines)
+                return [line.rstrip("\r\n").split(delimiter) for line in lines]
+            reader = csv.reader(chain(lines, fh), delimiter=delimiter)
+        return list(islice(reader, size))
+
     try:
-        yield next(reader, None)
-        yield from iter(lambda: list(islice(reader, CSV_CHUNK_ROWS)), [])
+        header = (read(1) or [None])[0]
+        yield [] if header == [""] else header  # csv reads a blank line as no cells
+        yield from iter(lambda: read(CSV_CHUNK_ROWS), [])
     except csv.Error as exc:
-        raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+        line = split + reader.line_num
+        raise ValueError(f"{path}: malformed CSV at line {line}: {exc}") from None
     except UnicodeDecodeError:
         # the streaming decoder only knows its chunk: find the line in the file
         data = path.read_bytes()
@@ -193,16 +213,19 @@ def _row_chunks(reader, path: Path):
 
 def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict):
     """(features, labels, bin codes) of a list of rows, built a column at a
-    time, or None if a row lacks a cell, does not parse, or has a label other
-    than 0 or 1 or a non-finite feature. ``codes`` numbers the timestamp
-    values in the order first seen."""
+    time from one transpose, or None if a row lacks a cell, does not parse,
+    or has a label other than 0 or 1 or a non-finite feature. ``codes``
+    numbers the timestamp values in the order first seen."""
     n = len(rows)
+    # zip stops at the shortest row, so a row without a cell that is read
+    # leaves that column out; no rows give empty columns
+    columns = list(zip(*rows)) if n else [()] * (max(*feat_idx, label_idx, ts_idx or 0) + 1)
     features = np.empty((n, len(feat_idx)), dtype=DTYPE)
     try:
         for j, c in enumerate(feat_idx):
-            features[:, j] = np.fromiter(map(float, map(itemgetter(c), rows)), DTYPE, n)
-        labels = np.fromiter(map(int, map(itemgetter(label_idx), rows)), np.int64, n)
-        stamps = [""] * n if ts_idx is None else list(map(itemgetter(ts_idx), rows))
+            features[:, j] = np.fromiter(map(float, columns[c]), DTYPE, n)
+        labels = np.fromiter(map(int, columns[label_idx]), np.int64, n)
+        stamps = [""] * n if ts_idx is None else columns[ts_idx]
     except (ValueError, IndexError, OverflowError):
         return None
     if not (np.isfinite(features).all() and ((labels == 0) | (labels == 1)).all()):
@@ -218,7 +241,10 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     The header's columns, and ``train_bins`` when a timestamp column is set,
     are checked before any row is read. Rows are then read and converted
     ``CSV_CHUNK_ROWS`` at a time, so besides the result the load holds one
-    chunk of strings, the parsed columns and one copy of the features.
+    chunk of strings, the parsed columns and one copy of the features. Lines
+    are split at the delimiter until a chunk holds a quote or a line longer
+    than the csv field limit; the ``csv`` module reads the rest, so quoted
+    files load too.
     Without a timestamp column the whole file forms a single training pool
     and the test side is ``None``. Rows that lack a cell, do not parse or
     hold a non-finite value, malformed CSV and bytes that are not UTF-8 abort
@@ -227,7 +253,7 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     """
     path = Path(source.path)
     with open(path, newline="", encoding="utf-8") as fh:
-        chunks = _row_chunks(csv.reader(fh, delimiter=source.delimiter), path)
+        chunks = _row_chunks(fh, source.delimiter, path)
         header = next(chunks)
         if header is None:
             raise ConfigError(f"{path}: empty file")

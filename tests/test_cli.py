@@ -169,6 +169,18 @@ class TestTrain:
         assert "training side" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("escape", ["\\n", "\\r"])
+    def test_line_break_delimiter_is_config_error_before_the_data_is_read(
+        self, escape, tmp_path, monkeypatch, capsys
+    ):
+        config = one_training_bin_config(tmp_path)
+        config.write_text(config.read_text() + f'delimiter = "{escape}"\n')
+        calls = spy_on(monkeypatch, "load_tabular")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert f"error: delimiter must not be a line break, got '{escape}'" in capsys.readouterr().err
+        assert calls == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "none.toml"), "--out", str(tmp_path / "m")])
         assert code == 2

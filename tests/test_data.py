@@ -1,9 +1,11 @@
 """Meta-set generation, CSV round trips, splits, and leakage guards."""
 
+import csv
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from batchad.data import (
     CSV_CHUNK_ROWS,
@@ -124,6 +126,16 @@ class TestLoadTabular:
         path = write_csv(tmp_path / "d.csv", ["0,0,1,1"], header="bin,label,f0,f1")
         with pytest.raises(ConfigError):
             load_tabular(TabularSource(path=path, label_col="target", train_bins=1))
+
+    def test_blank_header_line_has_no_cells(self, tmp_path):
+        # split at the delimiter, a blank line would be one empty cell, which
+        # an empty label column name finds
+        path = tmp_path / "d.csv"
+        path.write_text("\n0,1\n")
+        source = TabularSource(path=str(path), label_col="", timestamp_col=None)
+        got = load_or_error(load_tabular, source)
+        assert str(got) == f"{path}: missing column ''"
+        assert_same_load(got, load_or_error(reference_load_tabular, source))
 
     def test_unparseable_row_reports_line(self, tmp_path):
         rows = ["0,0,1,2", "0,0,oops,2", "1,0,3,4"]
@@ -251,8 +263,8 @@ def bad_lines_message(path, lines):
 
 CHUNK = CSV_CHUNK_ROWS
 # name: (header, rows, TabularSource overrides, expected), where expected is
-# None for a load, "config" for a ConfigError, or the bad lines; the rows are
-# built when a case runs
+# None for a load, "config" for a ConfigError, the bad lines, or how another
+# error's message goes on after the path; the rows are built when a case runs
 LONG_CASES = {
     "clean": (None, long_rows, {}, None),
     "bad-in-first-chunk": (None, lambda: spoil([3]), {}, [5]),
@@ -274,6 +286,19 @@ LONG_CASES = {
         None, lambda: [r + ",extra,9" if i % 3 else r for i, r in enumerate(long_rows())], {}, None
     ),
     "crlf-line-ends": (None, long_rows, {}, None),
+    "cr-line-ends": (None, long_rows, {}, None),
+    "quote-first-in-last-chunk": (None, lambda: spoil([2 * CHUNK + 5], row='"7",0,1,2,3'), {}, None),
+    "quoted-newline-across-a-boundary": (
+        None, lambda: spoil([CHUNK - 1], row='2,0,1,2,"3\n"'), {}, None
+    ),
+    # the csv module reads NUL as an ordinary character, so the cell does not parse
+    "nul-in-second-chunk": (None, lambda: spoil([CHUNK + 3], row="2,0,1\0,2,3"), {}, [CHUNK + 5]),
+    "field-over-the-csv-limit": (
+        None,
+        lambda: spoil([CHUNK + 3], row="2,0," + "9" * (csv.field_size_limit() + 1) + ",2,3"),
+        {},
+        f"malformed CSV at line {CHUNK + 5}: field larger than field limit",
+    ),
     "blank-line": (None, lambda: spoil([CHUNK + 7], row=""), {}, [CHUNK + 9]),
     "short-row": (None, lambda: spoil([CHUNK], row="2,0,1,2"), {}, [CHUNK + 2]),
     "row-without-its-timestamp": (
@@ -313,6 +338,28 @@ def load_or_error(loader, source):
         return exc
 
 
+def assert_same_load(got, want):
+    """Two results of ``load_or_error``: the same arrays bit for bit, or the
+    same error type and message."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is None:
+            continue
+        assert g.ids == w.ids and len(g.pools) == len(w.pools)
+        for gp, wp in zip(g.pools, w.pools):
+            assert_same_bits(gp, wp)
+        assert (g.anomaly_pool is None) == (w.anomaly_pool is None)
+        if w.anomaly_pool is not None:
+            assert_same_bits(g.anomaly_pool, w.anomaly_pool)
+
+
+LINE_ENDS = {"crlf-line-ends": "\r\n", "cr-line-ends": "\r"}
+
+
 class TestChunkedLoadMatchesReference:
     """The chunked, column-wise loader against the one-pass row loop kept in
     ``helpers``, over files of more than two chunks."""
@@ -321,7 +368,7 @@ class TestChunkedLoadMatchesReference:
     def test_same_arrays_or_same_error(self, case, tmp_path):
         header, make_rows, overrides, expected = LONG_CASES[case]
         path = tmp_path / "d.csv"
-        end = "\r\n" if case == "crlf-line-ends" else "\n"
+        end = LINE_ENDS.get(case, "\n")
         path.write_text(end.join([header or "bin,label,f0,f1,f2"] + make_rows()) + end, newline="")
         source = TabularSource(path=str(path), train_bins=3, **overrides)
         got = load_or_error(load_tabular, source)
@@ -330,21 +377,67 @@ class TestChunkedLoadMatchesReference:
             assert not isinstance(want, Exception), want
         elif expected == "config":
             assert type(want) is ConfigError
+        elif isinstance(expected, str):
+            assert str(want).startswith(f"{path}: {expected}"), want
         else:
             assert str(want) == bad_lines_message(path, expected)
-        if isinstance(want, Exception):
-            assert type(got) is type(want) and str(got) == str(want)
-            return
-        for g, w in zip(got, want):
-            assert (g is None) == (w is None)
-            if w is None:
-                continue
-            assert g.ids == w.ids and len(g.pools) == len(w.pools)
-            for gp, wp in zip(g.pools, w.pools):
-                assert_same_bits(gp, wp)
-            assert (g.anomaly_pool is None) == (w.anomaly_pool is None)
-            if w.anomaly_pool is not None:
-                assert_same_bits(g.anomaly_pool, w.anomaly_pool)
+        assert_same_load(got, want)
+
+
+# plain cells for each column, and odd ones that replace a cell in about one
+# row in ten: quoted (some holding the delimiter or a line break), padded,
+# empty, a stray quote, a NUL
+NUMBER = st.one_of(st.integers(-9, 99).map(str), st.floats(-1e3, 1e3).map(repr))
+CELLS = {"bin": st.sampled_from(["0", "1", "2", "x"]), "label": st.sampled_from(["0", "0", "1"]),
+         "f0": NUMBER, "f1": NUMBER}
+ODD = st.sampled_from(
+    ["", " 1 ", "+0", "1_0", "inf", "nan", "x", '"2"', '"a,b"', '"3\n"', '"4\r\n"', 'x"y', "1\0"]
+)
+# valid headers only: the loader checks the header before any row, the
+# reference after all of them
+HEADERS = [["bin", "label", "f0", "f1"]] * 3 + [
+    ['"bin"', "label", "f0", "f1"], ["f0", "label", "f1", "bin"], ["bin", "label", "f0"]
+]
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def small_csv_files(draw):
+    """The text of a file of up to 12 rows, each ended by ``\\n``,
+    ``\\r\\n`` or ``\\r`` (the last one maybe not); some rows are blank,
+    short or long."""
+    header = draw(st.sampled_from(HEADERS))
+    lines = [",".join(header) + draw(LINE_END)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(CELLS[name.strip('"')]) for name in header]
+        odd = draw(st.integers(0, 41))
+        if odd < len(cells):
+            cells[odd] = draw(ODD)
+        cells = {4: [], 5: cells[:-1], 6: cells + ["9"]}.get(odd, cells)  # blank, short, long
+        lines.append(",".join(cells) + draw(LINE_END))
+    return "".join(lines).rstrip("\r\n") if draw(st.booleans()) else "".join(lines)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=small_csv_files(), timestamp_col=st.sampled_from(["bin", None]),
+       field_limit=st.sampled_from([csv.field_size_limit()] * 3 + [12]))
+def test_small_files_in_chunks_of_3_load_as_the_reference(
+    text, timestamp_col, field_limit, tmp_path, monkeypatch
+):
+    # every example rewrites the one file; the 12-character field limit sends
+    # long lines to the csv module and makes longer fields malformed CSV
+    monkeypatch.setattr("batchad.data.CSV_CHUNK_ROWS", 3)
+    path = tmp_path / "d.csv"
+    path.write_text(text, newline="")
+    source = TabularSource(path=str(path), timestamp_col=timestamp_col, train_bins=1)
+    default_limit = csv.field_size_limit(field_limit)
+    try:
+        got = load_or_error(load_tabular, source)
+        want = load_or_error(reference_load_tabular, source)
+    finally:
+        csv.field_size_limit(default_limit)
+    assert_same_load(got, want)
 
 
 class TestStandardizer:

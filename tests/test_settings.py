@@ -81,6 +81,10 @@ PROBES = [
     (TabularSource, {"path": 1}, "path must be a string or a path, got 1"),
     (TabularSource, {"path": "d.csv", "delimiter": ";;"},
      "delimiter must be one character, got ';;'"),
+    (TabularSource, {"path": "d.csv", "delimiter": "\n"},
+     "delimiter must not be a line break, got '\\n'"),
+    (TabularSource, {"path": "d.csv", "delimiter": "\r"},
+     "delimiter must not be a line break, got '\\r'"),
 ]
 
 
