@@ -146,6 +146,8 @@ class TabularSource:
             raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
         if self.delimiter in "\r\n":  # rows are lines before they are cells
             raise ConfigError(f"delimiter must not be a line break, got {self.delimiter!r}")
+        if self.label_col == self.timestamp_col:
+            raise ConfigError(f"label_col and timestamp_col must differ, both are {self.label_col!r}")
 
 
 def _standardize(x: np.ndarray, fit: np.ndarray) -> np.ndarray:

@@ -118,8 +118,8 @@ class BatchNorm:
     - ``frozen``: normalize with the fixed ``frozen_mean``/``frozen_var``
       (train-time statistics reused at scoring time). The trainer sets them
       once, after its last optimizer step, from a batch-mode pass of the
-      final parameters over the last task, in content-key order, of the final
-      iteration; only the positions ``bn_mask`` leaves on get statistics.
+      final parameters over the last task sampled in the final iteration;
+      only the positions ``bn_mask`` leaves on get statistics.
 
     The forward pass centers the array it is handed in place and caches it;
     it writes the output into ``out`` when given, as a numpy ufunc does, else

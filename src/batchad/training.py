@@ -1,16 +1,13 @@
 """Meta-training loop: sample contaminated tasks, average their gradients,
 take one optimizer step per iteration.
 
-The tasks of an iteration are sampled as one (tasks, batch, features) stack,
-reordered by a content-based key, and forwarded and backpropagated in one
-pass. Normalization statistics are taken per task, so they never mix
-across tasks; the canonical order makes the parameter update exactly
-invariant to the order in which tasks were sampled within an iteration.
+The tasks of an iteration are sampled as one (tasks, batch, features) stack
+and forwarded and backpropagated in one pass, in sample order, each task
+with its own normalization statistics.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -90,17 +87,6 @@ class TrainReport:
         return self.loss_curve[-1]
 
 
-def _key_order(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Task indices of the (T, B, D) stack ``x`` and its (T, B) labels ``y``
-    ordered by a hash of each task's rows and labels, so gradient reduction
-    ignores sample order."""
-
-    def key(t: int) -> bytes:
-        return hashlib.blake2b(x[t].tobytes() + y[t].tobytes(), digest_size=16).digest()
-
-    return sorted(range(len(x)), key=key)
-
-
 def average_task_gradients(
     model: DetectorModel,
     x: np.ndarray,
@@ -109,14 +95,9 @@ def average_task_gradients(
     mode: str,
 ) -> tuple[float, np.ndarray]:
     """Mean loss and mean flat gradient vector over the tasks of a (T, B, D)
-    stack ``x`` with (T, B) labels ``y``, in one pass.
-
-    The tasks run in a canonical content-based order, each with its own
-    normalization statistics, so the result is bit-identical under any
-    permutation of the T axis.
-    """
-    order = _key_order(x, y)
-    return model.loss_and_grads(x[order], y[order], loss_kind=loss_kind, mode=mode)
+    stack ``x`` with (T, B) labels ``y``, in one pass, each task with its own
+    normalization statistics."""
+    return model.loss_and_grads(x, y, loss_kind=loss_kind, mode=mode)
 
 
 def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainReport]:
@@ -129,8 +110,8 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
     gradient is not finite skips the step and counts as diverged;
     ``DIVERGENCE_PATIENCE`` such iterations in a row raise
     :class:`DivergenceError`. A ``frozen`` model then freezes the statistics
-    of the last task, in content-key order, of the final iteration under the
-    final parameters.
+    of the last task sampled in the final iteration under the final
+    parameters.
     """
     root = np.random.SeedSequence(cfg.seed)
     init_ss, task_ss = root.spawn(2)
@@ -161,6 +142,6 @@ def train(meta: MetaDataset, cfg: TrainConfig) -> tuple[DetectorModel, TrainRepo
         adam.step(grad)
 
     if cfg.bn_mode == BN_FROZEN:
-        model.freeze_batch_stats(x[_key_order(x, y)[-1]])
+        model.freeze_batch_stats(x[-1])
 
     return model, TrainReport(loss_curve=losses, diverged_iterations=diverged)

@@ -181,6 +181,19 @@ class TestTrain:
         assert f"error: delimiter must not be a line break, got '{escape}'" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("column", ["bin", "label"])
+    def test_one_label_and_timestamp_column_is_config_error_before_the_data_is_read(
+        self, column, tmp_path, monkeypatch, capsys
+    ):
+        config = one_training_bin_config(tmp_path)
+        config.write_text(config.read_text() + f'label_col = "{column}"\ntimestamp_col = "{column}"\n')
+        calls = spy_on(monkeypatch, "load_tabular")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: label_col and timestamp_col must differ, both are '{column}'" in err
+        assert calls == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "none.toml"), "--out", str(tmp_path / "m")])
         assert code == 2

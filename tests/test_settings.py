@@ -85,6 +85,10 @@ PROBES = [
      "delimiter must not be a line break, got '\\n'"),
     (TabularSource, {"path": "d.csv", "delimiter": "\r"},
      "delimiter must not be a line break, got '\\r'"),
+    (TabularSource, {"path": "d.csv", "label_col": "bin"},
+     "label_col and timestamp_col must differ, both are 'bin'"),
+    (TabularSource, {"path": "d.csv", "timestamp_col": "label"},
+     "label_col and timestamp_col must differ, both are 'label'"),
 ]
 
 

@@ -4,6 +4,7 @@ looks up from outside the package."""
 
 import importlib
 import importlib.util
+import sys
 import tomllib
 from pathlib import Path
 
@@ -27,17 +28,45 @@ def load_spans():
 SPANS = load_spans()
 
 
-@pytest.mark.parametrize(
-    "module, path", [(m, p) for m, p, _span in SPANS.TARGETS], ids=lambda v: v
-)
-def test_traced_target_is_a_callable_of_its_module(module, path):
-    # the tracer looks each attribute up in the namespace that defines it
-    # (a class's own ``vars``, not an inherited one) and records a miss as absent
+def traced_target(module, path):
+    """``batchad.<module>.<path>`` as the tracer looks it up: in the namespace
+    that defines it (a class's own ``vars``, not an inherited one)."""
     owner_name, _, attr = path.rpartition(".")
     owner = importlib.import_module(f"batchad.{module}")
     if owner_name:
         owner = getattr(owner, owner_name)
-    assert callable(vars(owner).get(attr)), f"{module}.{path}"
+    return vars(owner).get(attr)
+
+
+@pytest.mark.parametrize(
+    "module, path", [(m, p) for m, p, _span in SPANS.TARGETS], ids=lambda v: v
+)
+def test_traced_target_is_a_callable_of_its_module(module, path):
+    # the tracer records a target it cannot find as absent
+    assert callable(traced_target(module, path)), f"{module}.{path}"
+
+
+def test_tracer_wraps_every_target_and_restores_it():
+    # the bench self-test's ``trace.absent == 0``, without a traced run
+    targets = [(m, p) for m, p, _span in SPANS.TARGETS]
+    originals = [traced_target(m, p) for m, p in targets]
+    namespaces = {
+        name: dict(vars(module))
+        for name, module in sys.modules.items()
+        if name == "batchad" or name.startswith("batchad.")
+    }
+    tracer = SPANS.Tracer("surface")
+    tracer.install(batchad)
+    try:
+        assert tracer.absent == []
+        assert all(traced_target(*t) is not fn for t, fn in zip(targets, originals))
+    finally:
+        tracer.uninstall()
+    assert all(traced_target(*t) is fn for t, fn in zip(targets, originals))
+    for name, namespace in namespaces.items():
+        now = vars(sys.modules[name])
+        assert now.keys() == namespace.keys(), name
+        assert all(now[k] is v for k, v in namespace.items()), name
 
 
 def test_headline_blocks_carry_the_traced_names():

@@ -16,13 +16,13 @@ from batchad.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from batchad.nn import Adam
 from batchad.scores import ScoreVector, meta_oe_loss
 from batchad.tasks import MetaDataset, sample_iteration_tasks
 from batchad import training
 from batchad.training import (
     DIVERGENCE_PATIENCE,
     TrainConfig,
-    _key_order,
     average_task_gradients,
     no_bn_trivial_loss_value,
     train,
@@ -204,21 +204,33 @@ class TestTrainLoop:
         assert masked.loss_curve == ident.loss_curve
 
 
-class TestTaskOrderInvariance:
-    def test_reduction_is_exactly_permutation_invariant(self):
+class TestTrainMatchesAHandLoop:
+    @pytest.mark.parametrize("bn_mode", ["batch", "frozen"])
+    def test_train_steps_on_the_tasks_as_sampled(self, bn_mode):
+        # train() is, bit for bit: sample a stack, one loss_and_grads on it as
+        # sampled, one Adam step; a frozen model then freezes the last task
         meta = toy_two_pool_meta(n=400)
-        cfg = small_cfg(tasks_per_iter=6)
-        model, _ = train(meta, small_cfg(iterations=2))
-        x, y = sample_iteration_tasks(meta, 6, 0.8, 16, np.random.default_rng(77))
+        cfg = small_cfg(iterations=6, tasks_per_iter=5, bn_mode=bn_mode)
+        model, report = train(meta, cfg)
 
-        loss_a, grad_a = average_task_gradients(model, x, y, "meta_oe", "batch")
-        perm = np.random.default_rng(1).permutation(len(x))
-        loss_b, grad_b = average_task_gradients(model, x[perm], y[perm], "meta_oe", "batch")
-        grads_a, grads_b = model.views(grad_a), model.views(grad_b)
+        init_ss, task_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+        ref = DetectorModel(cfg.architecture(meta.dim), np.random.default_rng(init_ss))
+        adam = Adam(ref.theta, cfg.learning_rate)
+        task_rng = np.random.default_rng(task_ss)
+        losses = []
+        for _ in range(cfg.iterations):
+            x, y = sample_iteration_tasks(meta, cfg.tasks_per_iter, cfg.pi, cfg.batch_size, task_rng)
+            loss, grad = ref.loss_and_grads(x, y, loss_kind=cfg.loss, mode="batch")
+            losses.append(loss)
+            adam.step(grad)
 
-        assert loss_a == loss_b
-        for name in grads_a:
-            assert np.array_equal(grads_a[name], grads_b[name]), name
+        assert report.loss_curve == losses
+        assert np.array_equal(model.theta, ref.theta)
+        if bn_mode == "frozen":
+            ref.freeze_batch_stats(x[-1])
+            for (_n, got), (_m, want) in zip(model.active_norms(), ref.active_norms(), strict=True):
+                assert np.array_equal(got.frozen_mean, want.frozen_mean)
+                assert np.array_equal(got.frozen_var, want.frozen_var)
 
 
 class TestStackedReduction:
@@ -242,9 +254,9 @@ class TestStackedReduction:
             ref = sum(pt[1][name] for pt in per_task) / len(x)
             assert np.abs(g - ref).max() <= 1e-12 * scale, name
 
-    def test_records_last_task_in_key_order(self):
-        # a frozen model holds the statistics of the final iteration's last
-        # task, in content-key order, under the final parameters
+    def test_records_the_last_sampled_task(self):
+        # a frozen model holds the statistics of the last task sampled in the
+        # final iteration, under the final parameters
         meta = toy_two_pool_meta(n=400)
         cfg = small_cfg(iterations=3, tasks_per_iter=5, bn_mode="frozen")
         model, _ = train(meta, cfg)
@@ -252,7 +264,7 @@ class TestStackedReduction:
         for _ in range(cfg.iterations):
             x, y = sample_iteration_tasks(meta, cfg.tasks_per_iter, cfg.pi, cfg.batch_size, task_rng)
         frozen = [(bn.frozen_mean, bn.frozen_var) for _n, bn in model.active_norms()]
-        model.freeze_batch_stats(x[_key_order(x, y)[-1]])
+        model.freeze_batch_stats(x[-1])
         for (_n, bn), (mean, var) in zip(model.active_norms(), frozen):
             assert np.array_equal(mean, bn.frozen_mean)
             assert np.array_equal(var, bn.frozen_var)
