@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -175,32 +176,34 @@ CSV_CHUNK_ROWS = 1024
 
 
 def _row_chunks(fh, delimiter: str, path: Path):
-    """Yield the header row (None for an empty file), then lists of at most
-    ``CSV_CHUNK_ROWS`` rows. Each chunk's lines are split at ``delimiter``
-    while none of them holds a quote or more characters than the csv field
-    limit; from the first chunk that does, the ``csv`` module reads the rest
-    of the file. (It reads a NUL as any other character.) Malformed CSV or a
-    byte that is not UTF-8 raises an error naming its line."""
+    """Yield the header row (None for an empty file), then chunks of at most
+    ``CSV_CHUNK_ROWS`` lines, as read while none of them holds a quote or
+    more characters than the csv field limit; from the first chunk that
+    does, the ``csv`` module reads the rest of the file into lists of rows.
+    (It reads a NUL as any other character.) Malformed CSV or a byte that is
+    not UTF-8 raises an error naming its line."""
     limit = csv.field_size_limit()
-    split = 0  # lines split before the csv module took over
+    direct = 0  # lines read before the csv module took over
     reader = None
 
     def read(size: int) -> list:
-        nonlocal split, reader
+        nonlocal direct, reader
         if reader is None:
             lines = list(islice(fh, size))
             if '"' not in "".join(lines) and max(map(len, lines), default=0) <= limit:
-                split += len(lines)
-                return [line.rstrip("\r\n").split(delimiter) for line in lines]
+                direct += len(lines)
+                return lines
             reader = csv.reader(chain(lines, fh), delimiter=delimiter)
         return list(islice(reader, size))
 
     try:
         header = (read(1) or [None])[0]
+        if isinstance(header, str):
+            header = header.rstrip("\r\n").split(delimiter)
         yield [] if header == [""] else header  # csv reads a blank line as no cells
         yield from iter(lambda: read(CSV_CHUNK_ROWS), [])
     except csv.Error as exc:
-        line = split + reader.line_num
+        line = direct + reader.line_num
         raise ValueError(f"{path}: malformed CSV at line {line}: {exc}") from None
     except UnicodeDecodeError:
         # the streaming decoder only knows its chunk: find the line in the file
@@ -213,22 +216,27 @@ def _row_chunks(fh, delimiter: str, path: Path):
         raise
 
 
-def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict):
+def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict, delimiter=None):
     """(features, labels, bin codes) of a list of rows, built a column at a
     time from one transpose, or None if a row lacks a cell, does not parse,
     or has a label other than 0 or 1 or a non-finite feature. ``codes``
-    numbers the timestamp values in the order first seen."""
+    numbers the timestamp values in the order first seen. Given a
+    ``delimiter``, ``rows`` are lines and ``_loadtxt`` parses them."""
     n = len(rows)
-    # zip stops at the shortest row, so a row without a cell that is read
-    # leaves that column out; no rows give empty columns
-    columns = list(zip(*rows)) if n else [()] * (max(*feat_idx, label_idx, ts_idx or 0) + 1)
-    features = np.empty((n, len(feat_idx)), dtype=DTYPE)
     try:
-        for j, c in enumerate(feat_idx):
-            features[:, j] = np.fromiter(map(float, columns[c]), DTYPE, n)
+        if delimiter is None:
+            # zip stops at the shortest row, so a row without a cell that is
+            # read leaves that column out; no rows give empty columns
+            columns = list(zip(*rows)) if n else [()] * (max(*feat_idx, label_idx, ts_idx or 0) + 1)
+            features = np.empty((n, len(feat_idx)), dtype=DTYPE)
+            for j, c in enumerate(feat_idx):
+                features[:, j] = np.fromiter(map(float, columns[c]), DTYPE, n)
+        else:
+            columns, features = _loadtxt(rows, delimiter, feat_idx, label_idx, ts_idx)
+        # ValueError if fewer than n, as when loadtxt skipped a blank line
         labels = np.fromiter(map(int, columns[label_idx]), np.int64, n)
         stamps = [""] * n if ts_idx is None else columns[ts_idx]
-    except (ValueError, IndexError, OverflowError):
+    except (ValueError, IndexError, OverflowError, Warning):
         return None
     if not (np.isfinite(features).all() and ((labels == 0) | (labels == 1)).all()):
         return None
@@ -237,16 +245,36 @@ def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict):
     return features, labels, np.fromiter(map(codes.__getitem__, stamps), np.intp, n)
 
 
+def _loadtxt(lines, delimiter, feat_idx, label_idx, ts_idx):
+    """({column: cells} of the label and timestamp columns, features) of
+    quote-free lines, by one ``np.loadtxt`` call, whose float64 is
+    ``float()``. Raises ValueError or a warning where a line holds a NUL or
+    ``\\x1c``-``\\x1f`` or loadtxt fails or warns; blank lines are skipped."""
+    text = "".join(lines)
+    # numpy reads these around a number as white space, float() does not
+    if any(char in text for char in "\0\x1c\x1d\x1e\x1f"):  # faster than re
+        raise ValueError("a NUL or \\x1c-\\x1f")
+    names = {label_idx: "label"} | ({} if ts_idx is None else {ts_idx: "stamp"})
+    dtype = [(name, object) for name in names.values()] + [("x", DTYPE, (len(feat_idx),))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(lines, dtype, delimiter=delimiter, comments=None,
+                           usecols=[*names, *feat_idx], ndmin=1)
+    return {c: table[name] for c, name in names.items()}, table["x"].copy()
+
+
 def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None]:
     """Read a delimited file into (train meta-set, test meta-set).
 
     The header's columns, and ``train_bins`` when a timestamp column is set,
     are checked before any row is read. Rows are then read and converted
     ``CSV_CHUNK_ROWS`` at a time, so besides the result the load holds one
-    chunk of strings, the parsed columns and one copy of the features. Lines
-    are split at the delimiter until a chunk holds a quote or a line longer
-    than the csv field limit; the ``csv`` module reads the rest, so quoted
-    files load too.
+    chunk of strings, the parsed columns and one copy of the features. Until
+    a chunk holds a quote or a line longer than the csv field limit, one
+    ``np.loadtxt`` call parses each chunk, or ``str.split`` and ``float()``
+    do where loadtxt could read it otherwise; the ``csv`` module reads the
+    rest, so quoted files load too. Each path loads what ``float()`` and
+    ``int()`` of the cells give.
     Without a timestamp column the whole file forms a single training pool
     and the test side is ``None``. Rows that lack a cell, do not parse or
     hold a non-finite value, malformed CSV and bytes that are not UTF-8 abort
@@ -281,7 +309,12 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         bad_lines: list[int] = []
         first_line = 2  # header is line 1
         for rows in chunks:
-            part = _convert_rows(rows, *columns, codes)
+            quote_free = isinstance(rows[0], str)  # then rows are lines
+            part = _convert_rows(rows, *columns, codes, source.delimiter) if quote_free else None
+            if part is None:  # the cells by str.split, float() and int()
+                if quote_free:
+                    rows = [line.rstrip("\r\n").split(source.delimiter) for line in rows]
+                part = _convert_rows(rows, *columns, codes)
             if part is None:  # a failed chunk: name its failing rows one by one
                 bad_lines += [
                     line for line, row in enumerate(rows, first_line)

@@ -1,6 +1,7 @@
 """Meta-set generation, CSV round trips, splits, and leakage guards."""
 
 import csv
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -255,6 +256,11 @@ def spoil(indices, row="0,0,oops,1,2"):
     return rows
 
 
+def timestamp_last(rows):
+    """``bin,label,f0,f1,f2`` rows as ``label,f0,f1,f2,bin`` rows."""
+    return [",".join(r.split(",")[1:] + r.split(",")[:1]) for r in rows]
+
+
 def bad_lines_message(path, lines):
     shown = ", ".join(str(n) for n in lines[:10])
     more = f" (+{len(lines) - 10} more)" if len(lines) > 10 else ""
@@ -309,6 +315,22 @@ LONG_CASES = {
         ],
         {},
         [2 * CHUNK + 3],
+    ),
+    # numpy reads \x1c-\x1f around a number as white space; float() and int() do not
+    "x1c-after-a-feature": (None, lambda: spoil([CHUNK + 3], row="2,0,1\x1c,2,3"), {}, [CHUNK + 5]),
+    "x1d-before-a-feature": (None, lambda: spoil([7], row="2,0,1,\x1d2,3"), {}, [9]),
+    "x1e-after-the-last-feature": (None, lambda: spoil([CHUNK], row="2,0,1,2,3\x1e"), {}, [CHUNK + 2]),
+    "x1f-after-a-label": (None, lambda: spoil([CHUNK + 3], row="2,1\x1f,1,2,3"), {}, [CHUNK + 5]),
+    "feature-1_0": (None, lambda: spoil([CHUNK + 3], row="2,0,1_0,2,3"), {}, None),
+    "feature-arabic-indic-one": (None, lambda: spoil([CHUNK + 3], row="2,0,1,\u0661,3"), {}, None),
+    "feature-nbsp-and-vt-padded": (None, lambda: spoil([5], row="2,0,\xa01,2\x0b,3"), {}, None),
+    # a comment character cuts nothing: "x#1" is a bin of its own, "3#1" no number
+    "hash-in-a-timestamp": (
+        "label,f0,f1,f2,bin", lambda: timestamp_last(spoil([CHUNK + 3], row="x#1,0,1,2,3")), {}, None
+    ),
+    "hash-in-a-feature": (None, lambda: spoil([CHUNK + 3], row="2,0,1,2,3#1"), {}, [CHUNK + 5]),
+    "blank-chunk": (
+        None, lambda: spoil(range(CHUNK, 2 * CHUNK), row=""), {}, list(range(CHUNK + 2, 2 * CHUNK + 2))
     ),
     "labels-spaced-and-signed": (
         None,
@@ -384,14 +406,36 @@ class TestChunkedLoadMatchesReference:
         assert_same_load(got, want)
 
 
+    @pytest.mark.parametrize("rows, lines", [
+        (lambda: long_rows()[:2 * CHUNK] + ["", ""], [2 * CHUNK + 2, 2 * CHUNK + 3]),
+        (lambda: spoil([CHUNK + 3], row="2,1.0,1,2,3"), [CHUNK + 5]),
+    ], ids=["last-chunk-blank", "label-1.0"])
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_no_warning_escapes_a_load(self, rows, lines, action, tmp_path):
+        # np.loadtxt warns on a chunk of blank lines; older numpy also on a
+        # "1.0" read as an integer
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(["bin,label,f0,f1,f2"] + rows()) + "\n")
+        source = TabularSource(path=str(path), train_bins=3)
+        want = load_or_error(reference_load_tabular, source)
+        assert str(want) == bad_lines_message(path, lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert_same_load(load_or_error(load_tabular, source), want)
+        assert caught == []
+
+
 # plain cells for each column, and odd ones that replace a cell in about one
-# row in ten: quoted (some holding the delimiter or a line break), padded,
-# empty, a stray quote, a NUL
+# row in ten: quoted (some holding the delimiter or a line break), padded
+# (by characters numpy and float() read alike as white space, and by ones
+# they do not), empty, a stray quote, a NUL, a comment character, digits
+# only float() reads
 NUMBER = st.one_of(st.integers(-9, 99).map(str), st.floats(-1e3, 1e3).map(repr))
 CELLS = {"bin": st.sampled_from(["0", "1", "2", "x"]), "label": st.sampled_from(["0", "0", "1"]),
          "f0": NUMBER, "f1": NUMBER}
 ODD = st.sampled_from(
-    ["", " 1 ", "+0", "1_0", "inf", "nan", "x", '"2"', '"a,b"', '"3\n"', '"4\r\n"', 'x"y', "1\0"]
+    ["", " 1 ", "+0", "1_0", "inf", "nan", "x", '"2"', '"a,b"', '"3\n"', '"4\r\n"', 'x"y', "1\0",
+     "1\x1c", "\x1f0", "\xa01\x0b", "\u0661", "1#", "#0"]
 )
 # valid headers only: the loader checks the header before any row, the
 # reference after all of them
@@ -403,34 +447,38 @@ LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
 
 @st.composite
 def small_csv_files(draw):
-    """The text of a file of up to 12 rows, each ended by ``\\n``,
-    ``\\r\\n`` or ``\\r`` (the last one maybe not); some rows are blank,
-    short or long."""
+    """A delimiter, and the text of a file of up to 12 rows, each ended by
+    ``\\n``, ``\\r\\n`` or ``\\r`` (the last one maybe not); some rows
+    are blank, short or long."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
     header = draw(st.sampled_from(HEADERS))
-    lines = [",".join(header) + draw(LINE_END)]
+    lines = [delimiter.join(header) + draw(LINE_END)]
     for _ in range(draw(st.integers(0, 12))):
         cells = [draw(CELLS[name.strip('"')]) for name in header]
         odd = draw(st.integers(0, 41))
         if odd < len(cells):
             cells[odd] = draw(ODD)
         cells = {4: [], 5: cells[:-1], 6: cells + ["9"]}.get(odd, cells)  # blank, short, long
-        lines.append(",".join(cells) + draw(LINE_END))
-    return "".join(lines).rstrip("\r\n") if draw(st.booleans()) else "".join(lines)
+        lines.append(delimiter.join(cells) + draw(LINE_END))
+    text = "".join(lines)
+    return delimiter, text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=small_csv_files(), timestamp_col=st.sampled_from(["bin", None]),
+@given(file=small_csv_files(), timestamp_col=st.sampled_from(["bin", None]),
        field_limit=st.sampled_from([csv.field_size_limit()] * 3 + [12]))
 def test_small_files_in_chunks_of_3_load_as_the_reference(
-    text, timestamp_col, field_limit, tmp_path, monkeypatch
+    file, timestamp_col, field_limit, tmp_path, monkeypatch
 ):
     # every example rewrites the one file; the 12-character field limit sends
     # long lines to the csv module and makes longer fields malformed CSV
     monkeypatch.setattr("batchad.data.CSV_CHUNK_ROWS", 3)
+    delimiter, text = file
     path = tmp_path / "d.csv"
     path.write_text(text, newline="")
-    source = TabularSource(path=str(path), timestamp_col=timestamp_col, train_bins=1)
+    source = TabularSource(path=str(path), timestamp_col=timestamp_col, train_bins=1,
+                           delimiter=delimiter)
     default_limit = csv.field_size_limit(field_limit)
     try:
         got = load_or_error(load_tabular, source)
@@ -438,6 +486,48 @@ def test_small_files_in_chunks_of_3_load_as_the_reference(
     finally:
         csv.field_size_limit(default_limit)
     assert_same_load(got, want)
+
+
+def assert_loadtxt_reads_as_float(strings):
+    """np.loadtxt's float64 of each string, one a line, has the bits of its
+    ``float()``; the chunked loader relies on it."""
+    got = np.loadtxt(strings, np.float64, delimiter=",", comments=None, ndmin=1)
+    want = np.array([float(s) for s in strings])
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert len(differ) == 0, [(strings[i], got[i], want[i]) for i in differ[:5]]
+
+
+class TestLoadtxtReadsAsFloat:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=50))
+    def test_written_floats(self, values):
+        assert_loadtxt_reads_as_float(
+            [text for v in values for text in (repr(v), format(v, ".17g"), format(v, ".12e"))]
+        )
+
+    def test_random_digit_strings(self):
+        # up to 25 digits either side of the point, exponents from -330 to
+        # 310: through subnormals, underflow to 0 and overflow to inf
+        rng = np.random.default_rng(0)
+
+        def digits(n):
+            return "".join(map(str, rng.integers(0, 10, n)))
+
+        strings = [
+            f"{rng.choice(['', '-', '+'])}{digits(rng.integers(1, 26))}"
+            f"{rng.choice(['', '.'])}{digits(rng.integers(0, 26))}e{rng.integers(-330, 311)}"
+            for _ in range(20_000)
+        ]
+        assert_loadtxt_reads_as_float(strings)
+
+    def test_hard_cases(self):
+        # the least subnormal, the halfway point below it, the value under
+        # the least normal that hung other parsers, 2**53 + 1, 1e23 (which
+        # naive parsers misround), the greatest double and an overflow
+        assert_loadtxt_reads_as_float([
+            "4.9406564584124654e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+            "9007199254740993", "1e23", "1.7976931348623158e308", "1e400",
+        ])
 
 
 class TestStandardizer:
