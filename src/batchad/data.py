@@ -179,9 +179,9 @@ def _row_chunks(fh, delimiter: str, path: Path):
     """Yield the header row (None for an empty file), then chunks of at most
     ``CSV_CHUNK_ROWS`` lines, as read while none of them holds a quote or
     more characters than the csv field limit; from the first chunk that
-    does, the ``csv`` module reads the rest of the file into lists of rows.
-    (It reads a NUL as any other character.) Malformed CSV or a byte that is
-    not UTF-8 raises an error naming its line."""
+    does, the rest of the file as lists of rows. The ``csv`` module splits
+    every row it yields, reading a NUL as any other character and a blank
+    line as no cells. Malformed CSV or a non-UTF-8 byte names its line."""
     limit = csv.field_size_limit()
     direct = 0  # lines read before the csv module took over
     reader = None
@@ -198,9 +198,7 @@ def _row_chunks(fh, delimiter: str, path: Path):
 
     try:
         header = (read(1) or [None])[0]
-        if isinstance(header, str):
-            header = header.rstrip("\r\n").split(delimiter)
-        yield [] if header == [""] else header  # csv reads a blank line as no cells
+        yield next(csv.reader([header], delimiter=delimiter)) if isinstance(header, str) else header
         yield from iter(lambda: read(CSV_CHUNK_ROWS), [])
     except csv.Error as exc:
         line = direct + reader.line_num
@@ -271,10 +269,10 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     ``CSV_CHUNK_ROWS`` at a time, so besides the result the load holds one
     chunk of strings, the parsed columns and one copy of the features. Until
     a chunk holds a quote or a line longer than the csv field limit, one
-    ``np.loadtxt`` call parses each chunk, or ``str.split`` and ``float()``
-    do where loadtxt could read it otherwise; the ``csv`` module reads the
-    rest, so quoted files load too. Each path loads what ``float()`` and
-    ``int()`` of the cells give.
+    ``np.loadtxt`` call parses each chunk; the ``csv`` module splits every
+    other chunk, one that loadtxt could read otherwise and all the rest of
+    the file from there, so quoted files load too. Each path loads what
+    ``float()`` and ``int()`` of the cells give.
     Without a timestamp column the whole file forms a single training pool
     and the test side is ``None``. Rows that lack a cell, do not parse or
     hold a non-finite value, malformed CSV and bytes that are not UTF-8 abort
@@ -311,9 +309,9 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
         for rows in chunks:
             quote_free = isinstance(rows[0], str)  # then rows are lines
             part = _convert_rows(rows, *columns, codes, source.delimiter) if quote_free else None
-            if part is None:  # the cells by str.split, float() and int()
+            if part is None:  # the cells by the csv module, float() and int()
                 if quote_free:
-                    rows = [line.rstrip("\r\n").split(source.delimiter) for line in rows]
+                    rows = list(csv.reader(rows, delimiter=source.delimiter))
                 part = _convert_rows(rows, *columns, codes)
             if part is None:  # a failed chunk: name its failing rows one by one
                 bad_lines += [

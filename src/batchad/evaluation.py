@@ -3,7 +3,8 @@
 Evaluation rotates over the test pools (each in turn plays the normal role),
 builds contaminated batches at the requested anomaly ratios, scores them with
 a full forward pass (normalization statistics recomputed per batch), and
-aggregates AUROC over rotations and independent runs.
+aggregates AUROC over rotations and independent runs. The AUROC is the exact
+Mann-Whitney pair count, in which a NaN score outscores and ties nothing.
 """
 
 from __future__ import annotations
@@ -33,15 +34,17 @@ CELL_THREADS = 2
 
 
 def check_ratios(ratios, batch_size: int) -> list[float]:
-    """The anomaly ratios as floats, each in (0, 0.5) and leaving at least one
-    anomaly and a normal majority in a batch of ``batch_size`` rows."""
+    """The anomaly ratios as floats, each in (0, 0.5), listed once, and
+    leaving an anomaly and a normal majority in a ``batch_size``-row batch."""
     check_value("batch_size", batch_size, int, 2)
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ConfigError("ratios must list at least one anomaly ratio")
-    for r in ratios:
+    for i, r in enumerate(ratios):
         if not 0.0 < r < 0.5:
             raise ConfigError(f"anomaly ratio must lie in (0, 0.5), got {r}")
+        if r in ratios[:i]:  # the report is keyed by ratio
+            raise ConfigError(f"anomaly ratio {r} is listed twice")
         if normal_count(1.0 - r, batch_size) >= batch_size:
             raise ConfigError(
                 f"ratio {r} with batch_size {batch_size} rounds to zero anomalies per batch"
@@ -49,28 +52,10 @@ def check_ratios(ratios, batch_size: int) -> list[float]:
     return ratios
 
 
-def tie_average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their rank range."""
-    values = np.asarray(values)
-    # the default sort is not stable, which no tie group's mean rank can
-    # show; only the NaNs, sorted last and never tied, go back to index order
-    order = np.argsort(values)
-    sorted_vals = values[order]
-    order[len(order) - np.count_nonzero(sorted_vals != sorted_vals):].sort()
-    # a tie group starts wherever the sorted value changes (NaN never ties)
-    start = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    end = np.r_[start[1:], len(values)]
-    ranks = np.empty(len(values), dtype=DTYPE)
-    ranks[order] = np.repeat(0.5 * (start + 1 + end), end - start)
-    return ranks
-
-
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUROC with tie-averaged ranks.
-
-    Equals the probability that a random positive outranks a random negative,
-    counting exact ties as one half.
-    """
+    """Exact AUROC: the share of (positive, negative) pairs in which the
+    positive (label 1) outscores the negative (any other label), ties
+    counting one half. A NaN score outscores and ties nothing."""
     scores = np.asarray(scores, dtype=DTYPE).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
@@ -80,8 +65,11 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both a positive and a negative label")
-    ranks = tie_average_ranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    neg = np.sort(scores[~pos])  # NaN sorts last, above every score searched for
+    p = scores[pos & (scores == scores)]  # a NaN positive wins no pair
+    # negatives below each positive plus those below or tied: twice its count
+    twice = np.searchsorted(neg, p, "left").sum() + np.searchsorted(neg, p, "right").sum()
+    return float(0.5 * twice / (n_pos * n_neg))
 
 
 # ----- distribution-shift diagnostic ----------------------------------------

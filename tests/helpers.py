@@ -124,7 +124,7 @@ def pair_count_auroc(scores, labels) -> float:
 
 def reference_tie_average_ranks(values) -> np.ndarray:
     """Tie-averaged 1-based ranks by walking the sorted values group by group;
-    the oracle for the vectorized ranks in ``batchad.evaluation``."""
+    NaN sorts last and never ties."""
     values = np.asarray(values)
     order = np.argsort(values, kind="mergesort")
     ranks = np.empty(len(values), dtype=float)
@@ -249,10 +249,8 @@ MIB = 2**20
 
 def spearman_rho(x, y) -> float:
     """Rank correlation via tie-averaged ranks (small inputs only)."""
-    from batchad.evaluation import tie_average_ranks
-
-    rx = tie_average_ranks(np.asarray(x, dtype=float))
-    ry = tie_average_ranks(np.asarray(y, dtype=float))
+    rx = reference_tie_average_ranks(np.asarray(x, dtype=float))
+    ry = reference_tie_average_ranks(np.asarray(y, dtype=float))
     return float(np.corrcoef(rx, ry)[0, 1])
 
 

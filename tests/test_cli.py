@@ -300,6 +300,14 @@ class TestEval:
         assert code == 2
         assert "zero anomalies" in capsys.readouterr().err
 
+    def test_duplicate_ratio_is_config_error(self, tiny_config, tmp_path, capsys):
+        code = main([
+            "eval", "--config", str(tiny_config), "--model", str(tmp_path / "m.ckpt"),
+            "--ratios", "0.1,0.1",
+        ])
+        assert code == 2
+        assert "anomaly ratio 0.1 is listed twice" in capsys.readouterr().err
+
     def test_unparseable_ratios_is_usage_error(self, tiny_config, tmp_path, capsys):
         code = main([
             "eval", "--config", str(tiny_config), "--model", str(tmp_path / "m.ckpt"),

@@ -33,13 +33,14 @@ from batchad.training import TrainConfig
         ({"ratios": [0.1, float("-inf")]}, "ratios must be finite"),
         ({"delimiter": ""}, "delimiter must be one character, got ''"),
         ({"pi": 0.51, "batch_size": 10}, "pi=0.51 with batch_size=10 does not give a normal"),
+        ({"ratios": [0.1, 0.2, 0.10]}, "^anomaly ratio 0.1 is listed twice$"),
     ],
     ids=[
         "head", "pi", "iterations", "ratio", "ratio-rounds-to-zero",
         "iterations-type", "seed-type", "runs-type", "ratios-empty",
         "int-for-bool", "bool-for-float", "list-item", "inline-table",
         "nan-learning-rate", "inf-mean-scale", "nan-within-scale", "inf-ratio",
-        "empty-delimiter", "pi-batch-majority",
+        "empty-delimiter", "pi-batch-majority", "ratio-twice",
     ],
 )
 def test_bad_value_is_config_error_naming_it(values, named, tmp_path):

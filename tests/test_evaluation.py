@@ -19,7 +19,6 @@ from batchad.evaluation import (
     auroc,
     collect_latents,
     evaluate,
-    tie_average_ranks,
     tv_distance_diagnostic,
 )
 import batchad.model
@@ -53,13 +52,41 @@ class TestAuroc:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_pair_counting_with_ties(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 51))
-        # coarse grid forces plenty of exact ties
-        scores = rng.integers(0, 6, size=n).astype(float) / 2.0
+        # 2 to 50 scores, then the 1500 of an evaluation cell
+        n = int(rng.integers(2, 51)) if seed < 24 else 1500
+        # a coarse grid forces plenty of exact ties; signed zeros tie, and so
+        # do two infinities of one sign
+        grid = [-np.inf, -0.0, 0.0, 0.5, 1.0, 1.5, 2.5, np.inf]
+        scores = rng.choice(grid, size=n)
         labels = rng.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
+        if seed % 3 == 1:  # NaN in either class, at least one in each
+            scores[rng.random(n) < 0.2] = np.nan
+            scores[[np.argmax(labels == 1), np.argmax(labels == 0)]] = np.nan
+        elif seed % 3 == 2:  # one class all NaN, positives or negatives
+            scores[labels == seed % 2] = np.nan
         assert auroc(scores, labels) == pair_count_auroc(scores, labels)
+
+    def test_nan_positive_outscores_nothing(self):
+        assert auroc([np.nan, 0.5], [1, 0]) == 0.0
+        assert auroc([0.5, np.nan], [1, 0]) == 0.0
+        assert auroc([np.nan, np.nan], [1, 0]) == 0.0
+        assert auroc([np.nan, 1.0, 0.5], [1, 1, 0]) == 0.5
+
+    @pytest.mark.parametrize("n", [2, 7, 60, 1500])
+    def test_bit_equal_to_rank_sum_on_finite_ties(self, n):
+        rng = np.random.default_rng([n, 5])
+        scores = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=n)
+        distinct = rng.random(n) < 0.5
+        scores[distinct] = rng.normal(size=distinct.sum())
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = 0, 1
+        pos = labels == 1
+        n_pos = int(pos.sum())
+        ranks = reference_tie_average_ranks(scores)
+        rank_sum = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+        assert_same_bits(np.float64(auroc(scores, labels)), np.float64(rank_sum))
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
@@ -69,25 +96,6 @@ class TestAuroc:
         base = auroc(scores, labels)
         assert auroc(np.exp(scores), labels) == base
         assert auroc(3.0 * scores + 7.0, labels) == base
-
-
-class TestTieAverageRanks:
-    @pytest.mark.parametrize("seed", range(14))
-    def test_bit_equal_to_reference_on_ties_and_nan(self, seed):
-        rng = np.random.default_rng([seed, 3])
-        # from empty up to 171 scores, then the 1500 of an evaluation cell,
-        # a size at which numpy's sort may pick another algorithm
-        n = 19 * seed if seed < 10 else 1500
-        # a handful of distinct values forces long tie runs; signed zeros tie
-        values = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf], size=n)
-        if seed >= 12:  # mostly distinct scores among the ties
-            distinct = rng.random(n) < 0.8
-            values[distinct] = rng.normal(size=distinct.sum())
-        values[rng.random(n) < 0.2] = np.nan
-        np.testing.assert_array_equal(
-            tie_average_ranks(values).view(np.int64),
-            reference_tie_average_ranks(values).view(np.int64),
-        )
 
 
 class TestTvDiagnostic:
@@ -358,6 +366,14 @@ class TestEvaluate:
         _, test_meta = small_setup
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             evaluate(untrained_model(dim=4), test_meta, ratios=[0.1], **{name: value})
+
+    def test_duplicate_ratio_is_config_error(self, small_setup):
+        # the report keys cells by ratio, so a second entry would overwrite
+        # the first one's cells while n_scored counted both
+        _, test_meta = small_setup
+        with pytest.raises(ConfigError, match="^anomaly ratio 0.1 is listed twice$"):
+            evaluate(untrained_model(dim=4), test_meta, ratios=(0.1, 0.1), runs=2,
+                     batches_per_run=3)
 
     def test_numpy_integer_arguments_give_the_int_report(self, small_setup):
         _, test_meta = small_setup
