@@ -74,11 +74,16 @@ class TestAuroc:
         assert auroc([np.nan, np.nan], [1, 0]) == 0.0
         assert auroc([np.nan, 1.0, 0.5], [1, 1, 0]) == 0.5
 
-    @pytest.mark.parametrize("n", [2, 7, 60, 1500])
-    def test_bit_equal_to_rank_sum_on_finite_ties(self, n):
-        rng = np.random.default_rng([n, 5])
-        scores = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=n)
-        distinct = rng.random(n) < 0.5
+    @pytest.mark.parametrize("seed", range(14))
+    def test_bit_equal_to_rank_sum_on_finite_ties(self, seed):
+        rng = np.random.default_rng([seed, 3])
+        # 2 up to 173 scores, then the 1500 of an evaluation cell
+        n = 19 * seed + 2 if seed < 10 else 1500
+        # a handful of distinct values forces long tie runs; signed zeros tie,
+        # and so do two infinities of one sign
+        scores = rng.choice([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf], size=n)
+        # from all ties at seed 0 to mostly distinct scores at seed 13
+        distinct = rng.random(n) < seed / 14
         scores[distinct] = rng.normal(size=distinct.sum())
         labels = rng.integers(0, 2, size=n)
         labels[:2] = 0, 1
