@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import ConfigError, check_value
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
-from .model import load_checkpoint, save_checkpoint
+from .model import DetectorModel, load_checkpoint, save_checkpoint
 from .training import train
 
 
@@ -250,7 +250,9 @@ ABLATE_SUITES = ("bn-mode", "batch-size", "num-classes", "pi", "loss-variant", "
 def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
     """Per model to train, a group (training config, train meta-set, test
     meta-set, cells); a cell is (description, evaluation config). Building
-    the plan builds, and so validates, every config of the suite."""
+    the plan builds, and so validates, every config of the suite. A frozen
+    model trains as a batch model, then freezes: a batch cell joins a frozen
+    cell's group when their training configs differ only in ``bn_mode``."""
     if suite == "batch-size":
         # single trained model, swept over scoring batch sizes; tiny batches
         # hold exactly one anomaly, larger ones a 10% admixture
@@ -291,13 +293,17 @@ def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
     else:
         metas = build_metasets(cfg)
         models = [(cell, *metas) for cell in cells]
-    groups = []
+    groups = {}
     for cell, train_meta, test_meta in models:
         # the cell's entries that name config keys are its training settings
         settings = {key: value for key, value in cell.items() if hasattr(cfg, key)}
         cell_cfg = replace(cfg, ratios=(0.1,), **settings)
-        groups.append((cell_cfg, train_meta, test_meta, [(cell, cell_cfg)]))
-    return groups
+        frozen = replace(cell_cfg, bn_mode="frozen") if cell_cfg.bn_mode == "batch" else cell_cfg
+        key = (frozen, id(train_meta), id(test_meta))
+        group = groups.setdefault(key, [cell_cfg, train_meta, test_meta, []])
+        group[0] = cell_cfg if cell_cfg.bn_mode == "frozen" else group[0]  # the config trained
+        group[3].append((cell, cell_cfg))
+    return list(groups.values())
 
 
 def cmd_ablate(args) -> int:
@@ -311,8 +317,12 @@ def cmd_ablate(args) -> int:
     rows = []
     started = time.perf_counter()
     for train_cfg, train_meta, test_meta, cells in plan:
-        model, _ = train(train_meta, train_cfg)
+        trained, _ = train(train_meta, train_cfg)
         for cell, eval_cfg in cells:
+            model = trained
+            if eval_cfg.bn_mode != train_cfg.bn_mode:  # a batch cell of a frozen training
+                model = DetectorModel(replace(trained.arch, bn_mode=eval_cfg.bn_mode))
+                model.theta[...] = trained.theta
             report = _evaluate(model, test_meta, eval_cfg)
             mean, std = report.per_ratio[eval_cfg.ratios[0]]
             rows.append([json.dumps(cell, sort_keys=True), _fmt_auc(mean, std)])

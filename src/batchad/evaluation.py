@@ -184,16 +184,13 @@ def evaluate(
     widest = max(layer.weight.size for _name, kind, layer in model.blocks if kind == "linear")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n = 1 if batch_size * widest > CELL_THREAD_MACS else min(CELL_THREADS, cpus or 1, len(grid))
-    if n == 1:
-        aucs = [score_cell(cell) for cell in grid]
-    else:
-        pool = ThreadPoolExecutor(n - 1)
-        try:  # the caller scores every n-th cell and takes results in cell order,
-            # so it raises the first failed cell's error, as the serial loop does
-            helped = {i: pool.submit(score_cell, cell) for i, cell in enumerate(grid) if i % n}
-            aucs = [helped[i].result() if i % n else score_cell(c) for i, c in enumerate(grid)]
-        finally:
-            pool.shutdown(cancel_futures=True)  # drops cells not yet started, joins the threads
+    pool = ThreadPoolExecutor(max(n - 1, 1))  # starts a thread only when a cell is submitted
+    try:  # the caller scores every n-th cell (all of them when n = 1) and takes
+        # results in cell order, so it raises the first failed cell's error
+        helped = {i: pool.submit(score_cell, cell) for i, cell in enumerate(grid) if i % n}
+        aucs = [helped[i].result() if i % n else score_cell(c) for i, c in enumerate(grid)]
+    finally:
+        pool.shutdown(cancel_futures=True)  # drops cells not yet started, joins the threads
     cell_auc = np.array(aucs).reshape(len(ratios), meta_test.k, runs)
 
     run_means = cell_auc.mean(axis=1)  # average rotations per run

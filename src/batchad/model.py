@@ -258,8 +258,6 @@ class DetectorModel:
         statistics only, which need at least two rows in batch mode; the
         scores come back flat, in row order."""
         parts = self._chunked(x, lambda out, _latent: self._scores(out))
-        if len(parts) == 1:
-            return parts[0]
         return ScoreVector(
             s=np.concatenate([p.s for p in parts]), a=np.concatenate([p.a for p in parts])
         )
@@ -268,8 +266,7 @@ class DetectorModel:
         """The (rows, latent) representation of a batch or a stack, as
         :meth:`score_batch` scores it: each batch normalized on its own,
         rows in order."""
-        parts = self._chunked(x, lambda _out, latent: latent)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.concatenate(self._chunked(x, lambda _out, latent: latent))
 
     def loss_and_grads(
         self,
@@ -314,13 +311,9 @@ class DetectorModel:
             grads["offset"][...] = dl_dt.sum()
 
         grad = g_out.reshape(stacked_shape)
-        # nothing reads the input gradient of a first linear layer
-        first_linear = self.blocks[0][2] if self.blocks[0][1] == "linear" else None
         for (name, kind, layer), cache in zip(reversed(self.blocks), reversed(tape)):
             if kind == "relu":
                 grad = relu_backward(grad, cache)
-            elif layer is first_linear:
-                layer.weight_grad(grad, cache, grads[f"{name}.weight"])
             else:
                 grad = layer.backward(grad, cache, *(grads[f"{name}.{p}"] for p in layer.PARAMS))
         return loss, grad_theta

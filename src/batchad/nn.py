@@ -90,18 +90,13 @@ class Linear:
             raise ValueError(f"linear layer expects {self.in_dim} features, got {x.shape[-1]}")
         return np.matmul(x, np.ascontiguousarray(self.weight.T)), x
 
-    def weight_grad(self, grad: np.ndarray, cache, g_weight: np.ndarray) -> None:
-        """Write the weight gradient into ``g_weight``; the whole backward
-        pass of a first layer, whose input gradient nothing reads. A stack
-        takes one product per batch, ``grad_t.T @ x_t``, summed in stack
-        order as batch norm sums its parameter gradients."""
-        per_batch = np.matmul(grad.swapaxes(-1, -2), cache)
-        per_batch.reshape(-1, self.out_dim, self.in_dim).sum(axis=0, out=g_weight)
-
     def backward(self, grad: np.ndarray, cache, g_weight: np.ndarray):
         """Input gradient, one product per batch of a stack as in the forward
-        pass; writes the weight gradient into ``g_weight``."""
-        self.weight_grad(grad, cache, g_weight)
+        pass; writes the weight gradient into ``g_weight``. A stack takes one
+        weight product per batch, ``grad_t.T @ x_t``, summed in stack order as
+        batch norm sums its parameter gradients."""
+        per_batch = np.matmul(grad.swapaxes(-1, -2), cache)
+        per_batch.reshape(-1, self.out_dim, self.in_dim).sum(axis=0, out=g_weight)
         return np.matmul(grad, self.weight)
 
 

@@ -641,9 +641,10 @@ class TestAblate:
         # a single training pool has no complement to contaminate from
         assert records[0]["cell"]["pi"] == 1.0
 
-    @pytest.mark.parametrize("suite, models", [("batch-size", 1), ("pi", 5)])
+    @pytest.mark.parametrize("suite, models", [("batch-size", 1), ("pi", 5), ("bn-mode", 2)])
     def test_one_training_per_group(self, suite, models, tiny_config, monkeypatch, capsys):
-        # batch-size scores one model at seven batch sizes; pi trains one per cell
+        # batch-size scores one model at seven batch sizes; pi trains one per
+        # cell; bn-mode scores its batch cell with the frozen cell's training
         calls = spy_on(monkeypatch, "train")
         assert main(["ablate", "--suite", suite, "--config", str(tiny_config)]) == 0
         assert len(calls) == models

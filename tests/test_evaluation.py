@@ -471,6 +471,37 @@ class TestEvaluateThreads:
         assert raised.value is error
         assert threading.enumerate() == before
 
+    @pytest.mark.parametrize(
+        "cpus, width, rows", [(1, 32, 20), (2, WIDTH, GUARD_ROWS)], ids=["one-cpu", "over-guard"]
+    )
+    def test_error_on_the_only_scoring_thread_stops_the_loop(
+        self, cpus, width, rows, small_setup, monkeypatch
+    ):
+        # with n = 1 the caller scores every cell and no helper thread starts
+        _, test_meta = small_setup  # two pools: four cells at one ratio and two runs
+        model = DetectorModel(
+            Architecture(input_dim=4, hidden=(width, width), latent_dim=16),
+            rng=np.random.default_rng(0),
+        )
+        with_cpus(monkeypatch, cpus)
+        error = MemoryError("second cell")
+        scorers = []
+        score = model.score_batch
+
+        def fail_second(x):
+            scorers.append(threading.current_thread())
+            if len(scorers) == 2:
+                raise error
+            return score(x)
+
+        monkeypatch.setattr(model, "score_batch", fail_second)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError) as raised:
+            evaluate(model, test_meta, ratios=[0.1], runs=2, batch_size=rows, batches_per_run=2)
+        assert raised.value is error
+        assert scorers == [threading.current_thread()] * 2  # cells 3 and 4 never scored
+        assert threading.enumerate() == before
+
     def test_the_first_failed_cell_in_order_is_raised(self, small_setup, monkeypatch):
         # cell 1 fails at once on the helper, cell 0 only after a pause on
         # the caller: the serial loop raises cell 0's error, and so must evaluate

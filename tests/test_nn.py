@@ -240,16 +240,6 @@ class TestFullNetworkGradients:
         for (name, _), n in zip(params.items(), numeric):
             assert max_rel_error(grads[name], n) <= REL_TOL, name
 
-    @pytest.mark.parametrize("head", ["dsvdd", "bce"])
-    def test_first_linear_layer_computes_no_input_gradient(self, head, monkeypatch):
-        model, x, y = smooth_random_instance(3, head=head, tasks=2)
-        want = model.loss_and_grads(x, y)
-        lin0 = model.blocks[0][2]
-        monkeypatch.setattr(lin0, "backward", lambda *a: pytest.fail("input gradient asked for"))
-        loss, grad_theta = model.loss_and_grads(x, y)
-        assert loss == want[0]
-        assert grad_theta.tobytes() == want[1].tobytes()
-
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
