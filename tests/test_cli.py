@@ -13,8 +13,10 @@ import pytest
 
 import batchad.cli
 from batchad.cli import ABLATE_SUITES, main
+from batchad.config import parse_flat_config, resolve_config
 from batchad.data import GaussianMetaSpec, generate_gaussian_metaset, save_metaset_csv
 from batchad.model import Architecture, DetectorModel, save_checkpoint
+from batchad.training import train
 
 TINY_CONFIG = """\
 # tiny smoke-test experiment
@@ -615,6 +617,23 @@ class TestAblate:
         assert set(records) == {"batch", "frozen", "identity"}
         # without batch statistics there is nothing to adapt with
         assert 0.3 <= records["identity"]["auroc_mean"] <= 0.7
+
+    def test_bn_mode_batch_cell_reads_as_if_trained_alone(self, tiny_config, tmp_path, capsys):
+        # the batch cell is scored with the frozen cell's training, which
+        # must give what a model trained in batch mode gives
+        results = tmp_path / "r.jsonl"
+        code = main([
+            "ablate", "--suite", "bn-mode", "--config", str(tiny_config),
+            "--out", str(results),
+        ])
+        assert code == 0
+        got = json.loads(results.read_text().splitlines()[0])
+        cfg = resolve_config(parse_flat_config(TINY_CONFIG), {"bn_mode": "batch"})
+        train_meta, test_meta = batchad.cli.build_metasets(cfg)
+        model, _ = train(train_meta, cfg)
+        want = batchad.cli._evaluate(model, test_meta, cfg).per_ratio[0.1]
+        assert got["cell"] == {"bn_mode": "batch"}
+        assert (got["auroc_mean"], got["auroc_std"]) == want
 
     def test_batch_size_suite_covers_grid(self, tiny_config, tmp_path, capsys):
         results = tmp_path / "r.jsonl"
