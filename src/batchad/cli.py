@@ -32,7 +32,7 @@ from .data import (
 from .errors import ConfigError, check_value
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
 from .model import DetectorModel, load_checkpoint, save_checkpoint
-from .training import train
+from .training import TrainConfig, train
 
 
 def _ratio_list(text: str) -> list[float]:
@@ -249,60 +249,54 @@ ABLATE_SUITES = ("bn-mode", "batch-size", "num-classes", "pi", "loss-variant", "
 
 def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
     """Per model to train, a group (training config, train meta-set, test
-    meta-set, cells); a cell is (description, evaluation config). Building
-    the plan builds, and so validates, every config of the suite. A frozen
-    model trains as a batch model, then freezes: a batch cell joins a frozen
-    cell's group when their training configs differ only in ``bn_mode``."""
-    if suite == "batch-size":
-        # single trained model, swept over scoring batch sizes; tiny batches
-        # hold exactly one anomaly, larger ones a 10% admixture
-        cells = []
-        for b in (3, 6, 11, 16, 20, 40, 60):
-            ratio = 1.0 / b if b < 20 else 0.1
-            cell = {"batch_size": b, "anomaly_ratio": ratio}
-            cells.append((cell, replace(cfg, eval_batch_size=b, ratios=(ratio,))))
-        return [(cfg, *build_metasets(cfg), cells)]
-
-    # every other suite trains one model per cell
+    meta-set, cells); a cell is (description, evaluation config): ``cfg`` at
+    ratio 0.1 with the cell's settings. Cells on the same meta-sets share a
+    group when their training settings, the :class:`TrainConfig` fields of
+    their configs, are equal, a batch cell counting as frozen (a frozen model
+    trains as a batch one, then freezes). Each group trains its frozen or
+    identity config; a cell in another mode is scored with the trained
+    parameters. Building the plan validates every config of the suite."""
+    metas = []  # per cell (train, test) meta-sets, in the suite that draws its own
     if suite == "bn-mode":
-        cells = [{"bn_mode": mode} for mode in ("batch", "frozen", "identity")]
+        cells = [({"bn_mode": m}, {"bn_mode": m}) for m in ("batch", "frozen", "identity")]
+    elif suite == "batch-size":
+        # tiny batches hold exactly one anomaly, larger ones a 10% admixture
+        ratios = {b: 1.0 / b if b < 20 else 0.1 for b in (3, 6, 11, 16, 20, 40, 60)}
+        cells = [
+            ({"batch_size": b, "anomaly_ratio": r}, {"eval_batch_size": b, "ratios": (r,)})
+            for b, r in ratios.items()
+        ]
     elif suite == "pi":
-        cells = [{"pi": pi} for pi in (0.6, 0.8, 0.9, 0.95, 0.99)]
+        cells = [({"pi": pi}, {"pi": pi}) for pi in (0.6, 0.8, 0.9, 0.95, 0.99)]
     elif suite == "loss-variant":
         # the plain one-class objective is trained on uncontaminated tasks
-        cells = [{"loss": "meta_oe", "pi": cfg.pi}, {"loss": "one_class", "pi": 1.0}]
+        variants = ({"loss": "meta_oe", "pi": cfg.pi}, {"loss": "one_class", "pi": 1.0})
+        cells = [(v, v) for v in variants]
     elif suite == "bn-position":  # each position alone, then all of them
         n = cfg.architecture(1).n_bn_positions()
-        masks = [tuple(int(i == p) for i in range(n)) for p in range(n)] + [(1,) * n]
-        cells = [{"bn_position": p if p < n else "all", "bn_mask": m} for p, m in enumerate(masks)]
-    if suite == "num-classes":
+        masks = {p: tuple(int(i == p) for i in range(n)) for p in range(n)} | {"all": (1,) * n}
+        cells = [({"bn_position": p, "bn_mask": m}, {"bn_mask": m}) for p, m in masks.items()]
+    elif suite == "num-classes":
         # each cell draws its own synthetic pools, which a CSV or permuted copies cannot follow
         for key in ("data_csv", "permutations"):
             if getattr(cfg, key):
                 raise ConfigError(f"the num-classes suite draws its own pools; unset {key}")
-        models = []
+        cells = []
         for k in (1, 2, 4, 8):
             train_meta, test_meta = build_metasets(replace(cfg, train_distributions=max(k, 2)))
-            if k == 1:
-                # a single pool has an empty complement; train uncontaminated
-                train_meta = type(train_meta)(
-                    pools=train_meta.pools[:1], ids=train_meta.ids[:1]
-                )
-            cell = {"train_classes": k, "pi": 1.0 if k == 1 else cfg.pi}
-            models.append((cell, train_meta, test_meta))
-    else:
-        metas = build_metasets(cfg)
-        models = [(cell, *metas) for cell in cells]
+            if k == 1:  # a single pool has an empty complement; train uncontaminated
+                train_meta = type(train_meta)(pools=train_meta.pools[:1], ids=train_meta.ids[:1])
+            pi = 1.0 if k == 1 else cfg.pi
+            cells.append(({"train_classes": k, "pi": pi}, {"pi": pi}))
+            metas.append((train_meta, test_meta))
     groups = {}
-    for cell, train_meta, test_meta in models:
-        # the cell's entries that name config keys are its training settings
-        settings = {key: value for key, value in cell.items() if hasattr(cfg, key)}
-        cell_cfg = replace(cfg, ratios=(0.1,), **settings)
-        frozen = replace(cell_cfg, bn_mode="frozen") if cell_cfg.bn_mode == "batch" else cell_cfg
-        key = (frozen, id(train_meta), id(test_meta))
-        group = groups.setdefault(key, [cell_cfg, train_meta, test_meta, []])
-        group[0] = cell_cfg if cell_cfg.bn_mode == "frozen" else group[0]  # the config trained
-        group[3].append((cell, cell_cfg))
+    metas = metas or [build_metasets(cfg)] * len(cells)
+    for (cell, settings), (train_meta, test_meta) in zip(cells, metas):
+        cell_cfg = replace(cfg, **{"ratios": (0.1,), **settings})
+        trained = TrainConfig(**{f.name: getattr(cell_cfg, f.name) for f in fields(TrainConfig)})
+        trained = replace(trained, bn_mode="frozen") if trained.bn_mode == "batch" else trained
+        key = (trained, id(train_meta), id(test_meta))
+        groups.setdefault(key, [trained, train_meta, test_meta, []])[3].append((cell, cell_cfg))
     return list(groups.values())
 
 

@@ -9,6 +9,7 @@ module fixtures.
 
 import math
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from batchad.evaluation import (
     evaluate,
     tv_distance_diagnostic,
 )
+from batchad.model import DetectorModel
 from batchad.scores import ScoreVector, meta_oe_loss, naive_bn_score
 from batchad.tasks import MetaDataset, hoeffding_violation_bound
 from batchad.training import TrainConfig, no_bn_trivial_loss_value, train
@@ -61,13 +63,18 @@ def preset_metaset():
 
 @pytest.fixture(scope="module")
 def headline(preset_metaset):
-    """The shared headline model: trained once, evaluated at all ratios."""
+    """The shared headline model, trained once: a frozen model trains exactly
+    as a batch one does, then freezes its statistics. Returns the batch-mode
+    model holding its parameters, the training report, that model's
+    evaluation at all ratios, the seconds taken, and the frozen model."""
     train_meta, test_meta = preset_metaset
     started = time.perf_counter()
-    model, report = train(train_meta, HEADLINE_CFG)
+    frozen, report = train(train_meta, replace(HEADLINE_CFG, bn_mode="frozen"))
+    model = DetectorModel(replace(frozen.arch, bn_mode="batch"))
+    model.theta[...] = frozen.theta
     eval_report = evaluate(model, test_meta, ratios=EVAL_RATIOS, runs=5, seed=0)
     elapsed = time.perf_counter() - started
-    return model, report, eval_report, elapsed
+    return model, report, eval_report, elapsed, frozen
 
 
 def test_a01_gradient_correctness():
@@ -136,7 +143,7 @@ def test_a02_naive_detector_on_shifting_means():
 
 
 def test_a03_zero_shot_generalization(headline):
-    _, _, eval_report, elapsed = headline
+    _, _, eval_report, elapsed, _ = headline
     mean, std = eval_report.per_ratio[0.1]
     check(
         "A03",
@@ -147,11 +154,11 @@ def test_a03_zero_shot_generalization(headline):
 
 def test_a04_batch_statistics_are_necessary(preset_metaset, headline):
     train_meta, test_meta = preset_metaset
-    results = {}
-    for mode in ("identity", "frozen"):
-        cfg = TrainConfig(**{**HEADLINE_CFG.__dict__, "bn_mode": mode})
-        model, _ = train(train_meta, cfg)
-        results[mode] = evaluate(model, test_meta, ratios=[0.1], runs=5, seed=0).per_ratio[0.1][0]
+    identity, _ = train(train_meta, replace(HEADLINE_CFG, bn_mode="identity"))
+    results = {
+        mode: evaluate(model, test_meta, ratios=[0.1], runs=5, seed=0).per_ratio[0.1][0]
+        for mode, model in (("identity", identity), ("frozen", headline[4]))
+    }
     batch_auroc = headline[2].per_ratio[0.1][0]
     ok = (
         0.4 <= results["identity"] <= 0.6

@@ -618,21 +618,33 @@ class TestAblate:
         # without batch statistics there is nothing to adapt with
         assert 0.3 <= records["identity"]["auroc_mean"] <= 0.7
 
-    def test_bn_mode_batch_cell_reads_as_if_trained_alone(self, tiny_config, tmp_path, capsys):
-        # the batch cell is scored with the frozen cell's training, which
-        # must give what a model trained in batch mode gives
+    @pytest.mark.parametrize(
+        "suite, cell, settings",
+        [
+            ("bn-mode", {"bn_mode": "batch"}, {}),
+            ("pi", {"pi": 0.9}, {"pi": 0.9}),
+            ("batch-size", {"batch_size": 20, "anomaly_ratio": 0.1}, {"eval_batch_size": 20}),
+            ("bn-position", {"bn_position": "all", "bn_mask": [1, 1, 1]}, {"bn_mask": [1, 1, 1]}),
+        ],
+        ids=["bn-mode", "pi", "batch-size", "bn-position"],
+    )
+    def test_bn_mode_batch_cell_reads_as_if_trained_alone(
+        self, suite, cell, settings, tiny_config, tmp_path, capsys
+    ):
+        # a batch cell is scored with the parameters of a frozen training,
+        # which must give what its own config trained in batch mode gives
         results = tmp_path / "r.jsonl"
         code = main([
-            "ablate", "--suite", "bn-mode", "--config", str(tiny_config),
-            "--out", str(results),
+            "ablate", "--suite", suite, "--config", str(tiny_config), "--out", str(results),
         ])
         assert code == 0
-        got = json.loads(results.read_text().splitlines()[0])
-        cfg = resolve_config(parse_flat_config(TINY_CONFIG), {"bn_mode": "batch"})
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        got = next(r for r in records if r["cell"] == cell)
+        overrides = {**settings, "bn_mode": "batch", "ratios": [0.1]}
+        cfg = resolve_config(parse_flat_config(TINY_CONFIG), overrides)
         train_meta, test_meta = batchad.cli.build_metasets(cfg)
         model, _ = train(train_meta, cfg)
         want = batchad.cli._evaluate(model, test_meta, cfg).per_ratio[0.1]
-        assert got["cell"] == {"bn_mode": "batch"}
         assert (got["auroc_mean"], got["auroc_std"]) == want
 
     def test_batch_size_suite_covers_grid(self, tiny_config, tmp_path, capsys):
@@ -660,10 +672,17 @@ class TestAblate:
         # a single training pool has no complement to contaminate from
         assert records[0]["cell"]["pi"] == 1.0
 
-    @pytest.mark.parametrize("suite, models", [("batch-size", 1), ("pi", 5), ("bn-mode", 2)])
+    @pytest.mark.parametrize(
+        "suite, models",
+        [
+            ("batch-size", 1), ("pi", 5), ("bn-mode", 2),
+            ("loss-variant", 2), ("bn-position", 4), ("num-classes", 4),
+        ],
+    )
     def test_one_training_per_group(self, suite, models, tiny_config, monkeypatch, capsys):
-        # batch-size scores one model at seven batch sizes; pi trains one per
-        # cell; bn-mode scores its batch cell with the frozen cell's training
+        # batch-size scores one model at seven batch sizes; bn-mode scores its
+        # batch cell with the frozen cell's training; every other cell's
+        # training settings or meta-sets differ from the rest of its suite's
         calls = spy_on(monkeypatch, "train")
         assert main(["ablate", "--suite", suite, "--config", str(tiny_config)]) == 0
         assert len(calls) == models
