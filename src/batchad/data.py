@@ -9,7 +9,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -175,45 +175,6 @@ def _bin_sort_key(value: str):
 CSV_CHUNK_ROWS = 1024
 
 
-def _row_chunks(fh, delimiter: str, path: Path):
-    """Yield the header row (None for an empty file), then chunks of at most
-    ``CSV_CHUNK_ROWS`` lines, as read while none of them holds a quote or
-    more characters than the csv field limit; from the first chunk that
-    does, the rest of the file as lists of rows. The ``csv`` module splits
-    every row it yields, reading a NUL as any other character and a blank
-    line as no cells. Malformed CSV or a non-UTF-8 byte names its line."""
-    limit = csv.field_size_limit()
-    direct = 0  # lines read before the csv module took over
-    reader = None
-
-    def read(size: int) -> list:
-        nonlocal direct, reader
-        if reader is None:
-            lines = list(islice(fh, size))
-            if '"' not in "".join(lines) and max(map(len, lines), default=0) <= limit:
-                direct += len(lines)
-                return lines
-            reader = csv.reader(chain(lines, fh), delimiter=delimiter)
-        return list(islice(reader, size))
-
-    try:
-        header = (read(1) or [None])[0]
-        yield next(csv.reader([header], delimiter=delimiter)) if isinstance(header, str) else header
-        yield from iter(lambda: read(CSV_CHUNK_ROWS), [])
-    except csv.Error as exc:
-        line = direct + reader.line_num
-        raise ValueError(f"{path}: malformed CSV at line {line}: {exc}") from None
-    except UnicodeDecodeError:
-        # the streaming decoder only knows its chunk: find the line in the file
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from None
-        raise
-
-
 def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict, delimiter=None):
     """(features, labels, bin codes) of a list of rows, built a column at a
     time from one transpose, or None if a row lacks a cell, does not parse,
@@ -245,13 +206,17 @@ def _convert_rows(rows, feat_idx, label_idx, ts_idx, codes: dict, delimiter=None
 
 def _loadtxt(lines, delimiter, feat_idx, label_idx, ts_idx):
     """({column: cells} of the label and timestamp columns, features) of
-    quote-free lines, by one ``np.loadtxt`` call, whose float64 is
-    ``float()``. Raises ValueError or a warning where a line holds a NUL or
-    ``\\x1c``-``\\x1f`` or loadtxt fails or warns; blank lines are skipped."""
+    lines, by one ``np.loadtxt`` call, whose float64 is ``float()``. Raises
+    ValueError or a warning where a line holds a quote, a NUL or
+    ``\\x1c``-``\\x1f`` or more characters than the csv field limit, or
+    loadtxt fails or warns; blank lines are skipped."""
     text = "".join(lines)
-    # numpy reads these around a number as white space, float() does not
-    if any(char in text for char in "\0\x1c\x1d\x1e\x1f"):  # faster than re
-        raise ValueError("a NUL or \\x1c-\\x1f")
+    # the csv module splits quotes and rejects long fields; numpy reads the
+    # others around a number as white space, float() does not
+    if any(char in text for char in '"\0\x1c\x1d\x1e\x1f') or (  # faster than re
+        max(map(len, lines)) > csv.field_size_limit()
+    ):
+        raise ValueError("a quote, a NUL or \\x1c-\\x1f, or a long line")
     names = {label_idx: "label"} | ({} if ts_idx is None else {ts_idx: "stamp"})
     dtype = [(name, object) for name in names.values()] + [("x", DTYPE, (len(feat_idx),))]
     with warnings.catch_warnings():
@@ -261,18 +226,48 @@ def _loadtxt(lines, delimiter, feat_idx, label_idx, ts_idx):
     return {c: table[name] for c, name in names.items()}, table["x"].copy()
 
 
+def _read_rows(rows, path, columns, delimiter=None):
+    """({timestamp: code}, features, labels, row codes) of the rows that
+    iterator ``rows`` yields, converted ``CSV_CHUNK_ROWS`` at a time by
+    ``_convert_rows``; ValueError names the lines of the rows that fail.
+    Given a ``delimiter``, ``rows`` yields lines for ``_loadtxt``, and the
+    result is None at the first chunk it cannot read."""
+    codes: dict[str, int] = {}
+    parts = [_convert_rows([], *columns, codes)]  # so a file without rows has arrays too
+    bad_lines: list[int] = []
+    first_line = 2  # header is line 1
+    for chunk in iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []):
+        part = _convert_rows(chunk, *columns, codes, delimiter)
+        if part is None and delimiter is not None:
+            return None
+        if part is None:  # a failed chunk: name its failing rows one by one
+            bad_lines += [
+                line for line, row in enumerate(chunk, first_line)
+                if _convert_rows([row], *columns, {}) is None
+            ]
+        parts.append(part)
+        first_line += len(chunk)
+        del chunk  # the strings go before the next chunk is read
+    if bad_lines:
+        shown = ", ".join(str(n) for n in bad_lines[:10])
+        more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
+        raise ValueError(f"{path}: unparseable or non-finite rows at lines {shown}{more}")
+    return codes, *(np.concatenate(column) for column in zip(*parts))
+
+
 def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None]:
     """Read a delimited file into (train meta-set, test meta-set).
 
     The header's columns, and ``train_bins`` when a timestamp column is set,
     are checked before any row is read. Rows are then read and converted
     ``CSV_CHUNK_ROWS`` at a time, so besides the result the load holds one
-    chunk of strings, the parsed columns and one copy of the features. Until
-    a chunk holds a quote or a line longer than the csv field limit, one
-    ``np.loadtxt`` call parses each chunk; the ``csv`` module splits every
-    other chunk, one that loadtxt could read otherwise and all the rest of
-    the file from there, so quoted files load too. Each path loads what
-    ``float()`` and ``int()`` of the cells give.
+    chunk of strings, the parsed columns and one copy of the features. One
+    ``np.loadtxt`` call parses each chunk until one holds a quote, a line
+    longer than the csv field limit or a cell that does not convert; then
+    the file is read again from row 1 by the ``csv`` module, ``float()`` and
+    ``int()``, so quoted files load too and every error comes from that
+    pass. Both passes load what ``float()`` and ``int()`` of the cells give;
+    the second needs a file that can seek.
     Without a timestamp column the whole file forms a single training pool
     and the test side is ``None``. Rows that lack a cell, do not parse or
     hold a non-finite value, malformed CSV and bytes that are not UTF-8 abort
@@ -281,52 +276,47 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     """
     path = Path(source.path)
     with open(path, newline="", encoding="utf-8") as fh:
-        chunks = _row_chunks(fh, source.delimiter, path)
-        header = next(chunks)
-        if header is None:
-            raise ConfigError(f"{path}: empty file")
+        try:
+            reader = csv.reader(fh, delimiter=source.delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty file")
 
-        def column_index(name: str) -> int:
+            def column_index(name: str) -> int:
+                try:
+                    return header.index(name)
+                except ValueError:
+                    raise ConfigError(f"{path}: missing column {name!r}") from None
+
+            label_idx = column_index(source.label_col)
+            ts_idx = column_index(source.timestamp_col) if source.timestamp_col else None
+            skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
+            feat_idx = [i for i in range(len(header)) if i not in skip]
+            if not feat_idx:
+                raise ConfigError(f"{path}: no feature columns")
+            if ts_idx is not None and source.train_bins is None:
+                raise ConfigError("train_bins is required when a timestamp column is set")
+
+            columns = (feat_idx, label_idx, ts_idx)
+            loaded = _read_rows(fh, path, columns, source.delimiter)
+            if loaded is None:  # the csv module reads the whole file again
+                fh.seek(0)
+                reader = csv.reader(fh, delimiter=source.delimiter)
+                next(reader)
+                loaded = _read_rows(reader, path, columns)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # the streaming decoder only knows its chunk: find the line in the file
+            data = path.read_bytes()
             try:
-                return header.index(name)
-            except ValueError:
-                raise ConfigError(f"{path}: missing column {name!r}") from None
-
-        label_idx = column_index(source.label_col)
-        ts_idx = column_index(source.timestamp_col) if source.timestamp_col else None
-        skip = {label_idx} | ({ts_idx} if ts_idx is not None else set())
-        feat_idx = [i for i in range(len(header)) if i not in skip]
-        if not feat_idx:
-            raise ConfigError(f"{path}: no feature columns")
-        if ts_idx is not None and source.train_bins is None:
-            raise ConfigError("train_bins is required when a timestamp column is set")
-
-        codes: dict[str, int] = {}
-        columns = (feat_idx, label_idx, ts_idx)
-        parts = [_convert_rows([], *columns, codes)]  # so a file without rows has arrays too
-        bad_lines: list[int] = []
-        first_line = 2  # header is line 1
-        for rows in chunks:
-            quote_free = isinstance(rows[0], str)  # then rows are lines
-            part = _convert_rows(rows, *columns, codes, source.delimiter) if quote_free else None
-            if part is None:  # the cells by the csv module, float() and int()
-                if quote_free:
-                    rows = list(csv.reader(rows, delimiter=source.delimiter))
-                part = _convert_rows(rows, *columns, codes)
-            if part is None:  # a failed chunk: name its failing rows one by one
-                bad_lines += [
-                    line for line, row in enumerate(rows, first_line)
-                    if _convert_rows([row], *columns, {}) is None
-                ]
-            parts.append(part)
-            first_line += len(rows)
-            del rows  # the strings go before the next chunk is read
-    if bad_lines:
-        shown = ", ".join(str(n) for n in bad_lines[:10])
-        more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
-        raise ValueError(f"{path}: unparseable or non-finite rows at lines {shown}{more}")
-    features, labels, row_codes = (np.concatenate(column) for column in zip(*parts))
-    del parts
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ConfigError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from None
+            raise
+    codes, features, labels, row_codes = loaded
+    del loaded  # else it would keep the features past their del below
 
     if ts_idx is None:
         normal = features[labels == 0]

@@ -151,10 +151,17 @@ class TestLoadTabular:
         with pytest.raises(ValueError, match=r"d\.csv: malformed CSV at line 3: field larger"):
             load_tabular(TabularSource(path=path, train_bins=1))
 
-    @pytest.mark.parametrize("rows_before", [1, 2000])
-    def test_byte_that_is_not_utf8_is_config_error_naming_the_line(self, tmp_path, rows_before):
-        # 2000 rows put the byte past the first chunk the file reader decodes
+    @pytest.mark.parametrize("rows_before, quoted", [(1, None), (2000, None), (4000, CSV_CHUNK_ROWS + 5)],
+                             ids=["1", "2000", "4000-after-a-quote"])
+    def test_byte_that_is_not_utf8_is_config_error_naming_the_line(
+        self, tmp_path, rows_before, quoted
+    ):
+        # 2000 rows put the byte past the first chunk the file reader decodes;
+        # after a quote in the second chunk, the csv module's pass from row 1
+        # is the one that meets it
         rows = [f"0,0,{i},2" for i in range(rows_before)] + ["1,0,3,4", "1,0,café,4"]
+        if quoted is not None:
+            rows[quoted] = '0,0,"1",2'
         path = tmp_path / "d.csv"
         path.write_bytes("\n".join(["bin,label,f0,f1"] + rows).encode("latin-1"))
         line = rows_before + 3
@@ -206,14 +213,21 @@ class TestLoadTabular:
         orders = {tuple(sorted(p, key=_bin_sort_key)) for p in permutations(keys)}
         assert orders == {("1", "1.0", "2", "3", "10", "nan", "x")}
 
-    def test_traced_peak_of_a_24000_row_load(self, tmp_path):
+    @pytest.mark.parametrize("quoted", [(), range(24_000), [23_999]],
+                             ids=["clean", "all-quoted", "quote-in-last-chunk"])
+    def test_traced_peak_of_a_24000_row_load(self, quoted, tmp_path):
         # all 24,000 rows of gaussian8 as strings take 17.0 MiB, and the
         # one-pass reference loader, holding them at once, peaks at 22.0 MiB;
         # one chunk of 1024 rows takes 0.7 MiB, the (24000, 8) features
-        # 1.5 MiB, and the chunked load peaks at 4.1 MiB
+        # 1.5 MiB, and the chunked load peaks at 4.1 MiB, also when a quote
+        # sends it back to row 1 after all but the last chunk
         csv_path, _ = save_metaset_csv(
             *generate_gaussian_metaset(GaussianMetaSpec(), seed=7), tmp_path, seed=7
         )
+        header, *lines = csv_path.read_text().splitlines()
+        for i in quoted:
+            lines[i] = ",".join(f'"{cell}"' for cell in lines[i].split(","))
+        csv_path.write_text("\n".join([header, *lines]) + "\n")
         source = TabularSource(path=str(csv_path), train_bins=8)
         load_tabular(source)
         peak = traced_peak(lambda: load_tabular(source))
@@ -405,6 +419,32 @@ class TestChunkedLoadMatchesReference:
             assert str(want) == bad_lines_message(path, expected)
         assert_same_load(got, want)
 
+    @pytest.mark.parametrize("case, loadtxt_calls, readers", [
+        ("clean", 3, 1), ("quote-first-in-last-chunk", 2, 2), ("quoted-fields", 0, 2),
+    ])
+    def test_loadtxt_reads_each_chunk_until_a_quote(
+        self, case, loadtxt_calls, readers, tmp_path, monkeypatch
+    ):
+        # both parsers give the same arrays, so only the calls show which one
+        # read a file: a quote-free file never meets the csv module past its
+        # header, and a quote restarts the load in one csv reader from row 1
+        header, make_rows, _, _ = LONG_CASES[case]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join([header or "bin,label,f0,f1,f2"] + make_rows()) + "\n")
+        source = TabularSource(path=str(path), train_bins=3)
+        want = reference_load_tabular(source)
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(csv, "reader", counted("reader", csv.reader))
+        assert_same_load(load_tabular(source), want)
+        assert (calls.count("loadtxt"), calls.count("reader")) == (loadtxt_calls, readers)
 
     @pytest.mark.parametrize("rows, lines", [
         (lambda: long_rows()[:2 * CHUNK] + ["", ""], [2 * CHUNK + 2, 2 * CHUNK + 3]),
