@@ -228,6 +228,22 @@ class TestTrain:
         assert code == 3
         assert f"{data}: unparseable or non-finite rows at lines 5" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_quoted_data_from_a_pipe_is_config_error(self, tmp_path, capsys):
+        # a quote sends the load back to row 1 for the csv module, and a pipe
+        # cannot rewind
+        pipe = tmp_path / "d.csv"
+        os.mkfifo(pipe)
+        rows = 'bin,label,f0\n0,0,1\n0,0,2\n1,0,"3"\n'
+        writer = threading.Thread(target=pipe.write_text, args=(rows,), daemon=True)
+        writer.start()
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{pipe}"\ntrain_bins = 1\niterations = 2\n')
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
+        writer.join(timeout=10)
+        assert code == 2 and not writer.is_alive()
+        assert "not seekable" in capsys.readouterr().err
+
     def test_missing_column_is_reported_before_a_malformed_row(self, tmp_path, capsys):
         # the header is checked before any row is read, so a file without its
         # label column is a config error even where a row further down is malformed
