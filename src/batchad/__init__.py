@@ -6,7 +6,7 @@ scored as-is, the normalization statistics of the batch itself doing the
 adaptation work.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .data import (
     GaussianMetaSpec,

@@ -4,6 +4,7 @@ train/test splitting helpers."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -300,13 +301,18 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
             columns = (feat_idx, label_idx, ts_idx)
             loaded = _read_rows(fh, path, columns, source.delimiter)
             if loaded is None:  # the csv module reads the whole file again
-                fh.seek(0)
+                try:
+                    fh.seek(0)
+                except io.UnsupportedOperation as exc:
+                    raise ConfigError(f"{path}: cannot rewind for the csv pass: {exc}") from None
                 reader = csv.reader(fh, delimiter=source.delimiter)
                 next(reader)
                 loaded = _read_rows(reader, path, columns)
         except csv.Error as exc:
             raise ValueError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
+        except UnicodeDecodeError as exc:
+            if not path.is_file():  # a pipe cannot be read again to find the line
+                raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
             # the streaming decoder only knows its chunk: find the line in the file
             data = path.read_bytes()
             try:

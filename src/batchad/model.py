@@ -300,9 +300,9 @@ class DetectorModel:
         if self.arch.head == HEAD_DSVDD:
             diff = out - self.center
             dl_ds = ((1.0 - y) - y / (scores.s + self.arch.inverse_eps) ** 2) / b
-            g_out = 2.0 * dl_ds[:, None] * diff
             if not self.arch.center_frozen:
-                grads["center"][...] = -2.0 * (dl_ds[:, None] * diff).sum(axis=0)
+                grads["center"][...] = -2.0 * (dl_ds @ diff)
+            g_out = np.multiply(diff, (2.0 * dl_ds)[:, None], out=diff)
         else:
             t = out[:, 0] + self.offset
             sig_pos = 1.0 / (1.0 + np.exp(-np.clip(t, -700, 700)))

@@ -21,9 +21,11 @@ because the next ``Linear`` keeps that array as its own cache and never
 writes it; ``BatchNorm.forward`` centers its input in place, keeps it as its
 cache, and writes its output into ``out`` when given (the input itself, when
 no backward pass follows); ``BatchNorm.backward`` and ``relu_backward``
-overwrite the gradient they receive and return it. ``Linear`` passes never
-write their inputs. No pass writes a parameter, an earlier pass's cache or
-the frozen statistics, and no layer keeps a buffer between calls. A model
+overwrite the gradient they receive and return it, and a batch-mode
+``BatchNorm.backward`` also overwrites the centered rows of its own cache,
+which nothing reads after it (its mean and variance stay). ``Linear`` passes
+never write their inputs. No pass writes a parameter, another layer's cache
+or the frozen statistics, and no layer keeps a buffer between calls. A model
 hands a batch norm only a ``Linear`` output made in the same call or its own
 copy of the caller's input, a ReLU only the normalization output it just
 made, and a backward pass only a gradient it just computed.
@@ -162,7 +164,13 @@ class BatchNorm:
 
     def backward(self, grad: np.ndarray, cache, g_gamma: np.ndarray, g_beta: np.ndarray):
         """Input gradient, written over ``grad``; writes the parameter
-        gradients into ``g_gamma``, ``g_beta``."""
+        gradients into ``g_gamma``, ``g_beta``.
+
+        Every mode scales ``grad`` by ``scale = gamma * inv``. In batch mode,
+        where every row moves the mean and variance, the full Jacobian then
+        subtracts two per-batch coefficient rows, ``c = scale * g_sum / b`` and
+        ``xc * k`` with ``k = scale * inv * gx_sum / b``; ``xc * k`` is written
+        over the centered rows of this call's cache."""
         mode, xc, inv = cache[:3]
         # per-batch sums of grad and of grad * xhat; the parameter gradients
         # add them over the stack
@@ -171,16 +179,11 @@ class BatchNorm:
         gx_sum.reshape(-1, self.dim).sum(axis=0, out=g_gamma)
         g_sum.reshape(-1, self.dim).sum(axis=0, out=g_beta)
         scale = self.gamma * inv
-        if mode == BN_BATCH:
-            # mean and variance depend on every row of the batch: full
-            # batch-coupled Jacobian, (gamma * inv / b) * (b * grad - g_sum -
-            # xhat * gx_sum), evaluated in that order
-            b = grad.shape[-2]
-            grad *= b
-            grad -= g_sum
-            grad -= xc * (inv * gx_sum)
-            scale /= b
         grad *= scale
+        if mode == BN_BATCH:
+            b = grad.shape[-2]
+            grad -= scale * g_sum / b
+            grad -= np.multiply(xc, scale * inv * gx_sum / b, out=xc)
         return grad
 
 
@@ -200,7 +203,8 @@ def relu_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class Adam:
     """Adam with bias correction: one elementwise step per gradient updates the
-    flat parameter vector ``theta`` in place."""
+    flat parameter vector ``theta`` in place, through two scratch vectors made
+    per call."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -219,8 +223,15 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.BETA1**self.t
         c2 = 1.0 - self.BETA2**self.t
+        # the operations of the out-of-place update, in its order: the same bits
+        step = np.multiply(grad, 1.0 - self.BETA1)
         self.m *= self.BETA1
-        self.m += (1.0 - self.BETA1) * grad
+        self.m += step
+        np.multiply(grad, 1.0 - self.BETA2, out=step)
         self.v *= self.BETA2
-        self.v += (1.0 - self.BETA2) * grad * grad
-        self.theta -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + self.EPS)
+        self.v += np.multiply(step, grad, out=step)
+        np.multiply(np.divide(self.m, c1, out=step), self.learning_rate, out=step)
+        denom = np.divide(self.v, c2)
+        np.sqrt(denom, out=denom)
+        denom += self.EPS
+        self.theta -= np.divide(step, denom, out=step)

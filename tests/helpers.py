@@ -328,7 +328,8 @@ def reference_batchnorm(layer, x: np.ndarray, mode: str, grad: np.ndarray):
     g_gamma = gx_sum.reshape(-1, layer.dim).sum(axis=0)
     g_beta = g_sum.reshape(-1, layer.dim).sum(axis=0)
     if mode == "batch":
-        g_x = (layer.gamma * inv / b) * (b * grad - g_sum - centered * (inv * gx_sum))
+        scale = layer.gamma * inv
+        g_x = grad * scale - scale * g_sum / b - centered * (scale * inv * gx_sum / b)
     else:
         g_x = grad * (layer.gamma * inv)
     return out, g_x, g_gamma, g_beta

@@ -242,7 +242,31 @@ class TestTrain:
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")])
         writer.join(timeout=10)
         assert code == 2 and not writer.is_alive()
-        assert "not seekable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pipe}: ") and "not seekable" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_byte_that_is_not_utf8_in_a_pipe_is_config_error(self, tmp_path):
+        # the line of a bad byte is found by reading the file again, which a
+        # pipe cannot do: opening it again would wait for a writer forever
+        pipe = tmp_path / "d.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(
+            target=pipe.write_bytes, args=(b"bin,label,f0\n0,0,caf\xe9\n",), daemon=True
+        )
+        writer.start()
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{pipe}"\ntrain_bins = 1\niterations = 2\n')
+        src = str(Path(batchad.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "batchad.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=30,
+        )
+        writer.join(timeout=10)
+        assert proc.returncode == 2 and not writer.is_alive()
+        assert proc.stderr.startswith(f"error: {pipe}: not UTF-8 ("), proc.stderr
 
     def test_missing_column_is_reported_before_a_malformed_row(self, tmp_path, capsys):
         # the header is checked before any row is read, so a file without its

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from batchad.model import HEADS, STACK_ROWS, Architecture, DetectorModel
-from batchad.nn import BN_MODES, BatchNorm, Linear, relu_backward, relu_forward
+from batchad.nn import BN_MODES, Adam, BatchNorm, Linear, relu_backward, relu_forward
 
 from helpers import (
     MIB,
@@ -214,3 +214,14 @@ class TestAllocationBudget:
     def test_loss_and_grads_of_an_8_task_stack(self):
         peak = traced_peak(lambda: self.model.loss_and_grads(self.stack, self.y))
         assert peak <= 2.9 * MIB, peak
+
+    def test_adam_step_holds_two_theta_sized_scratch_vectors(self):
+        # the headline network has 11,232 parameters (89,856 bytes); the
+        # out-of-place update held three temporaries of that size at once
+        theta = self.model.theta
+        assert theta.size == 11_232
+        opt = Adam(theta, learning_rate=1e-3)
+        grad = np.random.default_rng(3).normal(size=theta.shape)
+        opt.step(grad)
+        peak = traced_peak(lambda: opt.step(grad))
+        assert peak <= 2 * theta.nbytes + 1024, peak

@@ -12,7 +12,7 @@ from batchad.model import Architecture, DetectorModel, _manifest
 from batchad.nn import Adam, BatchNorm, Linear, relu_backward, relu_forward
 from batchad.scores import dsvdd_scores
 
-from helpers import REL_TOL, max_rel_error, numeric_grad, smooth_random_instance
+from helpers import REL_TOL, assert_same_bits, max_rel_error, numeric_grad, smooth_random_instance
 
 
 # one (tasks, batch, features) case next to the (batch, features) seeds
@@ -267,6 +267,21 @@ class TestAdam:
         opt = Adam(theta, learning_rate=0.1)
         with pytest.raises(ValueError):
             opt.step(np.zeros(4))
+
+    def test_steps_give_the_bits_of_the_out_of_place_formula(self):
+        rng = np.random.default_rng(9)
+        theta = rng.normal(size=50)
+        opt = Adam(theta, learning_rate=0.01)
+        want, m, v = theta.copy(), np.zeros(50), np.zeros(50)
+        for t in range(1, 21):
+            grad = rng.normal(size=50)
+            opt.step(grad)
+            m = Adam.BETA1 * m + (1.0 - Adam.BETA1) * grad
+            v = Adam.BETA2 * v + (1.0 - Adam.BETA2) * grad * grad
+            c1, c2 = 1.0 - Adam.BETA1**t, 1.0 - Adam.BETA2**t
+            want = want - 0.01 * (m / c1) / (np.sqrt(v / c2) + Adam.EPS)
+            for got, expected in ((theta, want), (opt.m, m), (opt.v, v)):
+                assert_same_bits(got, expected)
 
 
 class TestParameterLayout:

@@ -124,6 +124,16 @@ class TestTrainLoop:
         b = train(meta, small_cfg(iterations=20, pi=1.0, loss="one_class"))[1]
         assert a.loss_curve == b.loss_curve
 
+    def test_frozen_center_gets_no_gradient_and_stays_at_zero(self):
+        meta = toy_two_pool_meta(n=400)
+        cfg = small_cfg(iterations=5, center_frozen=True)
+        model = DetectorModel(cfg.architecture(meta.dim), np.random.default_rng(0))
+        x, y = sample_iteration_tasks(meta, 2, 0.8, 16, np.random.default_rng(1))
+        _loss, grad = model.loss_and_grads(x, y)
+        assert not model.views(grad)["center"].any() and grad.any()
+        trained, _ = train(meta, cfg)
+        assert not trained.center.any()
+
     def test_single_pool_with_contamination_rejected(self):
         meta = MetaDataset(pools=(np.zeros((50, 2)),), ids=(0,))
         with pytest.raises(ConfigError):
