@@ -210,6 +210,9 @@ def cmd_eval(args) -> int:
     _check_side(test_meta, "test", "evaluation")
     if cfg.pi < 1.0:  # the shift diagnostic samples the training mixture at 1 - pi
         _check_side(train_meta, "training", f"the shift diagnostic at pi = {cfg.pi}")
+    if model.arch.input_dim != test_meta.dim:
+        raise ConfigError(f"checkpoint {args.model} expects {model.arch.input_dim} features, "
+                          f"the configured data has {test_meta.dim}")
     started = time.perf_counter()
     report = _evaluate(model, test_meta, cfg)
     # shift diagnostic: train-mixture vs unseen-test gap, in latent space and raw
@@ -273,7 +276,7 @@ def _ablate_plan(suite: str, cfg: ExperimentConfig) -> list:
         variants = ({"loss": "meta_oe", "pi": cfg.pi}, {"loss": "one_class", "pi": 1.0})
         cells = [(v, v) for v in variants]
     elif suite == "bn-position":  # each position alone, then all of them
-        n = cfg.architecture(1).n_bn_positions()
+        n = cfg.n_bn_positions()
         masks = {p: tuple(int(i == p) for i in range(n)) for p in range(n)} | {"all": (1,) * n}
         cells = [({"bn_position": p, "bn_mask": m}, {"bn_mask": m}) for p, m in masks.items()]
     elif suite == "num-classes":

@@ -14,7 +14,7 @@ import tomllib
 from dataclasses import asdict, dataclass, fields
 
 from .data import TabularSource
-from .errors import ConfigError, check_value
+from .errors import ConfigError
 from .evaluation import DEFAULT_RATIOS, check_ratios
 from .training import TrainConfig
 
@@ -55,11 +55,8 @@ class ExperimentConfig(TrainConfig):
     eval_batches: int = 25
 
     def __post_init__(self):
-        super().__post_init__()
+        super().__post_init__(runs=1, eval_batches=1, data_seed=0, eval_seed=0, permutations=0)
         check_ratios(self.ratios, self.eval_batch_size)
-        bounds = dict(runs=1, eval_batches=1, data_seed=0, eval_seed=0, permutations=0)
-        for name, least in bounds.items():
-            check_value(name, getattr(self, name), int, least)
         self.tabular_source()  # the source's own check, without reading it
 
     def tabular_source(self) -> TabularSource:

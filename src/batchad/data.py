@@ -341,18 +341,20 @@ def load_tabular(source: TabularSource) -> tuple[MetaDataset, MetaDataset | None
     # argsort inverts the permutation that takes bin indices to codes
     row_bin = np.argsort([codes[key] for key in bin_keys])[row_codes]
 
-    train_mask = row_bin < source.train_bins
-    train_norm = train_mask & (labels == 0)
+    train_norm = (row_bin < source.train_bins) & (labels == 0)
     if not train_norm.any():
         raise ConfigError(f"{path}: training bins contain no normal rows")
     _standardize(features, features[train_norm])
 
-    # every bin with normal rows is a pool, on the side its index falls on
-    normal = {b: features[(row_bin == b) & (labels == 0)] for b in range(len(bin_keys))}
+    # every bin with normal rows is a pool, on the side its index falls on; one
+    # stable sort puts the normal rows first, bin by bin, in file order in a bin
+    order = np.argsort(np.where(labels == 0, row_bin, len(bin_keys)), kind="stable")
+    counts = np.bincount(row_bin[labels == 0], minlength=len(bin_keys))
+    normal = np.split(features[order[:counts.sum()]], np.cumsum(counts[:-1]))
     train_ids = [b for b in range(source.train_bins) if len(normal[b])]
     test_ids = [b for b in range(source.train_bins, len(bin_keys)) if len(normal[b])]
     anomalies = features[(row_bin >= source.train_bins) & (labels == 1)]
-    del features  # the pools are copies, which MetaDataset copies once more
+    del features  # the pools view one copy, which MetaDataset copies once more
 
     if not train_ids or not test_ids:
         raise ConfigError(f"{path}: empty train or test side after binning")

@@ -45,7 +45,13 @@ def check_ratios(ratios, batch_size: int) -> list[float]:
             raise ConfigError(f"anomaly ratio must lie in (0, 0.5), got {r}")
         if r in ratios[:i]:  # the report is keyed by ratio
             raise ConfigError(f"anomaly ratio {r} is listed twice")
-        if normal_count(1.0 - r, batch_size) >= batch_size:
+        try:
+            normals = normal_count(1.0 - r, batch_size)
+        except ConfigError:  # its message names pi = 1 - r, which no one set
+            raise ConfigError(
+                f"anomaly ratio {r} with batch_size {batch_size} leaves no normal majority"
+            ) from None
+        if normals >= batch_size:
             raise ConfigError(
                 f"ratio {r} with batch_size {batch_size} rounds to zero anomalies per batch"
             )

@@ -56,35 +56,27 @@ STAT_FIELDS = ("frozen_mean", "frozen_var")
 SETTING_FIELDS = ("head", "bn_mode", "bn_mask", "inverse_eps", "center_frozen")
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """A detector model, described and validated without building it: MLP
-    shape (hidden widths, latent width, optional input normalization), head,
-    and settings.
-
-    ``bn_mode`` is the scoring-time behavior of the active normalization
-    layers; ``bn_mask`` (None: all on) switches individual positions to
-    affine identity (the layer-position ablation). ``inverse_eps`` guards the
-    distance head's inverse score; ``center_frozen`` keeps its center fixed
-    in training. Construction is the only check of these settings: a bad
-    one raises :class:`ConfigError`, a ``TypeError`` too if of the wrong type.
-    ``hidden`` and ``bn_mask`` are kept as tuples of the given entries, except
-    that a mask with every position on is kept as None, so equal models
-    compare equal.
+@dataclass(frozen=True, kw_only=True)
+class ModelSettings:
+    """The seven settings that shape and switch a detector, declared once for
+    :class:`Architecture` and :class:`TrainConfig`. ``bn_mode`` is the
+    scoring-time mode of the active normalization layers; ``bn_mask`` (None:
+    all on) switches single positions to affine identity; ``center_frozen``
+    keeps the distance head's center fixed in training. Construction runs
+    :func:`check_fields`, with a subclass's lower bounds in ``least``, and
+    raises :class:`ConfigError` for a setting no model has.
     """
 
-    input_dim: int
     hidden: tuple[int, ...] = (64, 64, 64)
     latent_dim: int = 32
     input_bn: bool = False
     head: str = HEAD_DSVDD
     bn_mode: str = BN_BATCH
     bn_mask: tuple[int, ...] | None = None
-    inverse_eps: float = DEFAULT_INVERSE_EPS
     center_frozen: bool = False
 
-    def __post_init__(self):
-        check_fields(self, input_dim=1, hidden=1, latent_dim=1)
+    def __post_init__(self, **least):
+        check_fields(self, hidden=1, latent_dim=1, **least)
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
         if self.bn_mode not in BN_MODES:
@@ -92,23 +84,35 @@ class Architecture:
         if self.bn_mask is not None:
             if any(m not in (0, 1) for m in self.bn_mask):
                 raise ConfigError(f"bn_mask entries must be 0 or 1, got {list(self.bn_mask)}")
-            n_bn = self.n_bn_positions()
-            if len(self.bn_mask) != n_bn:
+            if len(self.bn_mask) != (n_bn := self.n_bn_positions()):
                 raise ConfigError(f"bn_mask must have {n_bn} entries, got {len(self.bn_mask)}")
-            if all(self.bn_mask):  # one form for "all on"
-                object.__setattr__(self, "bn_mask", None)
-        if not self.inverse_eps > 0:
-            raise ConfigError(f"inverse_eps must be positive and finite, got {self.inverse_eps!r}")
-        object.__setattr__(self, "inverse_eps", float(self.inverse_eps))
 
     def n_bn_positions(self) -> int:
         return int(self.input_bn) + len(self.hidden) + (1 if self.head == HEAD_DSVDD else 0)
 
+
+@dataclass(frozen=True)
+class Architecture(ModelSettings):
+    """A detector model, described and checked without building it: the
+    model settings, the input width and the distance head's inverse-score
+    guard. A mask with every position on is kept as None, so equal models
+    compare equal.
+    """
+
+    input_dim: int
+    inverse_eps: float = DEFAULT_INVERSE_EPS
+
+    def __post_init__(self):
+        super().__post_init__(input_dim=1)
+        if self.bn_mask is not None and all(self.bn_mask):  # one form for "all on"
+            object.__setattr__(self, "bn_mask", None)
+        if not self.inverse_eps > 0:
+            raise ConfigError(f"inverse_eps must be positive and finite, got {self.inverse_eps!r}")
+        object.__setattr__(self, "inverse_eps", float(self.inverse_eps))
+
     def bn_on(self) -> tuple[bool, ...]:
         """Per normalization position, whether ``bn_mask`` leaves it on."""
-        if self.bn_mask is None:
-            return (True,) * self.n_bn_positions()
-        return tuple(bool(m) for m in self.bn_mask)
+        return tuple(bool(m) for m in self.bn_mask or (1,) * self.n_bn_positions())
 
     def n_params(self) -> int:
         """Number of parameter values of this model, counted without

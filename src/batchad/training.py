@@ -9,12 +9,12 @@ with its own normalization statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, check_fields
-from .model import Architecture, DetectorModel, HEAD_DSVDD
+from .errors import ConfigError, DivergenceError
+from .model import Architecture, DetectorModel, ModelSettings
 from .nn import BN_BATCH, BN_FROZEN, BN_IDENTITY, Adam
 from .scores import LOSS_META_OE, LOSSES
 from .tasks import MetaDataset, normal_count, sample_iteration_tasks
@@ -36,24 +36,19 @@ def no_bn_trivial_loss_value(pi: float) -> float:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ModelSettings):
+    """The model settings, kept as given (an all-on ``bn_mask`` too), and how to train them."""
+
     iterations: int = 800
     tasks_per_iter: int = 8
     batch_size: int = 60
     pi: float = 0.8
     learning_rate: float = 1e-3
     seed: int = 0
-    head: str = HEAD_DSVDD
-    hidden: tuple[int, ...] = (64, 64, 64)
-    latent_dim: int = 32
-    input_bn: bool = False
-    bn_mode: str = BN_BATCH
-    bn_mask: tuple[int, ...] | None = None
     loss: str = LOSS_META_OE  # meta_oe | one_class
-    center_frozen: bool = False
 
-    def __post_init__(self):
-        check_fields(self, iterations=1, tasks_per_iter=1, batch_size=2, seed=0)
+    def __post_init__(self, **least):
+        super().__post_init__(iterations=1, tasks_per_iter=1, batch_size=2, seed=0, **least)
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not self.learning_rate > 0:
@@ -61,20 +56,11 @@ class TrainConfig:
         if not 0.5 < self.pi <= 1.0:
             raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")
         normal_count(self.pi, self.batch_size)
-        self.architecture(1)  # the model's own check, without building it
 
     def architecture(self, input_dim: int) -> Architecture:
         """The detector this config trains, for ``input_dim`` features."""
-        return Architecture(
-            input_dim=input_dim,
-            hidden=self.hidden,
-            latent_dim=self.latent_dim,
-            input_bn=self.input_bn,
-            head=self.head,
-            bn_mode=self.bn_mode,
-            bn_mask=self.bn_mask,
-            center_frozen=self.center_frozen,
-        )
+        settings = {f.name: getattr(self, f.name) for f in fields(ModelSettings)}
+        return Architecture(input_dim=input_dim, **settings)
 
 
 @dataclass

@@ -535,6 +535,21 @@ class TestEval:
         err = capsys.readouterr().err
         assert "test side" in err and "anomaly pool" in err
 
+    def test_checkpoint_of_another_width_is_config_error_before_scoring(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a gaussian1d model on the default gaussian8 data
+        config = tmp_path / "exp.toml"
+        config.write_text("runs = 1\neval_batches = 2\n")
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(DetectorModel(Architecture(input_dim=1)), ckpt)
+        calls = spy_on(monkeypatch, "evaluate")
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} expects 1 features, the configured data has 8" in err
+        assert calls == []
+
     def test_one_pool_training_side_fails_before_evaluating(self, tmp_path, monkeypatch, capsys):
         # one training bin: enough for a pi = 1.0 model, but the shift
         # diagnostic samples the training side at the eval config's pi = 0.8

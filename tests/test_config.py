@@ -2,12 +2,13 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from batchad.config import ExperimentConfig, parse_flat_config, resolve_config
 from batchad.errors import ConfigError
+from batchad.model import Architecture, ModelSettings
 from batchad.training import TrainConfig
 
 
@@ -34,13 +35,15 @@ from batchad.training import TrainConfig
         ({"delimiter": ""}, "delimiter must be one character, got ''"),
         ({"pi": 0.51, "batch_size": 10}, "pi=0.51 with batch_size=10 does not give a normal"),
         ({"ratios": [0.1, 0.2, 0.10]}, "^anomaly ratio 0.1 is listed twice$"),
+        ({"ratios": [0.33], "eval_batch_size": 2},
+         "^anomaly ratio 0.33 with batch_size 2 leaves no normal majority$"),
     ],
     ids=[
         "head", "pi", "iterations", "ratio", "ratio-rounds-to-zero",
         "iterations-type", "seed-type", "runs-type", "ratios-empty",
         "int-for-bool", "bool-for-float", "list-item", "inline-table",
         "nan-learning-rate", "inf-mean-scale", "nan-within-scale", "inf-ratio",
-        "empty-delimiter", "pi-batch-majority", "ratio-twice",
+        "empty-delimiter", "pi-batch-majority", "ratio-twice", "ratio-batch-majority",
     ],
 )
 def test_bad_value_is_config_error_naming_it(values, named, tmp_path):
@@ -55,6 +58,29 @@ def test_train_config_carries_every_shared_field():
     assert isinstance(cfg, TrainConfig)
     assert (cfg.head, cfg.hidden, cfg.bn_mask, cfg.seed) == ("bce", (4, 4), (1, 0), 9)
     assert cfg.iterations == TrainConfig().iterations
+
+
+def test_every_model_setting_reaches_the_architecture():
+    # each of the seven shared settings away from its default
+    settings = dict(head="bce", hidden=(4, 4), latent_dim=3, input_bn=True,
+                    bn_mode="frozen", bn_mask=(1, 0, 1), center_frozen=True)
+    assert set(settings) == {f.name for f in fields(ModelSettings)}
+    assert all(getattr(ModelSettings(), k) != v for k, v in settings.items())
+    arch = TrainConfig(**settings).architecture(5)
+    assert arch == Architecture(input_dim=5, **settings)
+    assert {k: getattr(arch, k) for k in settings} == settings
+
+
+def test_an_all_on_mask_is_kept_by_the_config_and_dropped_by_the_model():
+    cfg = resolve_config({"bn_mask": [1, 1, 1, 1]})
+    assert cfg.bn_mask == (1, 1, 1, 1) and cfg.architecture(8).bn_mask is None
+    assert cfg.hash() == "5658956be36d4e050300f247ce43a7b8906913145bead46e389ef1070436ce80"
+
+
+def test_model_settings_are_checked_before_training_settings():
+    # the shared model settings are checked first, the training ones after
+    with pytest.raises(ConfigError, match="^unknown head 'x'$"):
+        resolve_config({"head": "x", "pi": 0.4})
 
 
 @pytest.mark.parametrize(

@@ -275,6 +275,13 @@ def timestamp_last(rows):
     return [",".join(r.split(",")[1:] + r.split(",")[:1]) for r in rows]
 
 
+def many_bins(rows, n=1200):
+    """``rows`` with row i moved to bin i % n, named by its number when odd
+    and by text when even, so bins interleave; as every 40th row is an
+    anomaly, bins "t0", "t40", ... hold anomaly rows only."""
+    return [f"{k if (k := i % n) % 2 else f't{k}'},{r.split(',', 1)[1]}" for i, r in enumerate(rows)]
+
+
 def bad_lines_message(path, lines):
     shown = ", ".join(str(n) for n in lines[:10])
     more = f" (+{len(lines) - 10} more)" if len(lines) > 10 else ""
@@ -363,6 +370,7 @@ LONG_CASES = {
         {"timestamp_col": None},
         None,
     ),
+    "many-interleaved-bins": (None, lambda: many_bins(long_rows()), {}, None),
     "no-timestamp-header-only": ("label,f0,f1,f2", list, {"timestamp_col": None}, "config"),
 }
 
