@@ -37,6 +37,8 @@ from batchad.training import TrainConfig
         ({"ratios": [0.1, 0.2, 0.10]}, "^anomaly ratio 0.1 is listed twice$"),
         ({"ratios": [0.33], "eval_batch_size": 2},
          "^anomaly ratio 0.33 with batch_size 2 leaves no normal majority$"),
+        # the shared model settings are checked before the training ones
+        ({"head": "x", "pi": 0.4}, "^unknown head 'x'$"),
     ],
     ids=[
         "head", "pi", "iterations", "ratio", "ratio-rounds-to-zero",
@@ -44,6 +46,7 @@ from batchad.training import TrainConfig
         "int-for-bool", "bool-for-float", "list-item", "inline-table",
         "nan-learning-rate", "inf-mean-scale", "nan-within-scale", "inf-ratio",
         "empty-delimiter", "pi-batch-majority", "ratio-twice", "ratio-batch-majority",
+        "model-settings-first",
     ],
 )
 def test_bad_value_is_config_error_naming_it(values, named, tmp_path):
@@ -75,12 +78,6 @@ def test_an_all_on_mask_is_kept_by_the_config_and_dropped_by_the_model():
     cfg = resolve_config({"bn_mask": [1, 1, 1, 1]})
     assert cfg.bn_mask == (1, 1, 1, 1) and cfg.architecture(8).bn_mask is None
     assert cfg.hash() == "5658956be36d4e050300f247ce43a7b8906913145bead46e389ef1070436ce80"
-
-
-def test_model_settings_are_checked_before_training_settings():
-    # the shared model settings are checked first, the training ones after
-    with pytest.raises(ConfigError, match="^unknown head 'x'$"):
-        resolve_config({"head": "x", "pi": 0.4})
 
 
 @pytest.mark.parametrize(
