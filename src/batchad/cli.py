@@ -22,9 +22,8 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, parse_flat_config, resolve_config
 from .data import (
-    GAUSSIAN_PRESETS,
-    GaussianMetaSpec,
     augment_with_permutations,
+    gaussian_preset,
     generate_gaussian_metaset,
     load_tabular,
     save_metaset_csv,
@@ -57,13 +56,6 @@ def _load_config(args) -> ExperimentConfig:
     return resolve_config(values, overrides)
 
 
-def _preset(name: str) -> GaussianMetaSpec:
-    if name not in GAUSSIAN_PRESETS:
-        known = ", ".join(sorted(GAUSSIAN_PRESETS))
-        raise ConfigError(f"unknown data preset {name!r} (known: {known})")
-    return GAUSSIAN_PRESETS[name]
-
-
 def _sidecar_train_bins(path: Path) -> int:
     """How many training bins the JSON sidecar of a CSV file lists."""
     try:
@@ -86,14 +78,7 @@ def build_metasets(cfg: ExperimentConfig):
             source = replace(source, train_bins=_sidecar_train_bins(sidecar))
         train_meta, test_meta = load_tabular(source)
     else:
-        # the configured preset with every synthetic override the config sets
-        overrides = {
-            f.name: getattr(cfg, f.name)
-            for f in fields(GaussianMetaSpec)
-            if getattr(cfg, f.name) is not None
-        }
-        spec = replace(_preset(cfg.data_preset), **overrides)
-        train_meta, test_meta = generate_gaussian_metaset(spec, cfg.data_seed)
+        train_meta, test_meta = generate_gaussian_metaset(cfg.gaussian_spec(), cfg.data_seed)
     train_meta = augment_with_permutations(train_meta, cfg.permutations, cfg.data_seed + 1)
     return train_meta, test_meta
 
@@ -165,7 +150,7 @@ def _fmt_auc(mean: float, std: float) -> str:
 
 def cmd_gen_data(args) -> int:
     check_value("--seed", args.seed, int, 0)
-    train_meta, test_meta = generate_gaussian_metaset(_preset(args.preset), args.seed)
+    train_meta, test_meta = generate_gaussian_metaset(gaussian_preset(args.preset), args.seed)
     csv_path, json_path = save_metaset_csv(train_meta, test_meta, args.out, seed=args.seed)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")

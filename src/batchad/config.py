@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import tomllib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
-from .data import TabularSource
+from .data import GaussianMetaSpec, TabularSource, gaussian_preset
 from .errors import ConfigError
 from .evaluation import DEFAULT_RATIOS, check_ratios
 from .training import TrainConfig
@@ -55,9 +55,17 @@ class ExperimentConfig(TrainConfig):
     eval_batches: int = 25
 
     def __post_init__(self):
-        super().__post_init__(runs=1, eval_batches=1, data_seed=0, eval_seed=0, permutations=0)
+        super().__post_init__(runs=1, eval_batch_size=2, eval_batches=1, data_seed=0,
+                              eval_seed=0, permutations=0)
         check_ratios(self.ratios, self.eval_batch_size)
-        self.tabular_source()  # the source's own check, without reading it
+        self.tabular_source()  # each source's own checks, without reading data
+        self.gaussian_spec()
+
+    def gaussian_spec(self) -> GaussianMetaSpec:
+        """The ``data_preset`` spec with every synthetic setting this config sets."""
+        settings = {f.name: getattr(self, f.name) for f in fields(GaussianMetaSpec)}
+        return replace(gaussian_preset(self.data_preset),
+                       **{k: v for k, v in settings.items() if v is not None})
 
     def tabular_source(self) -> TabularSource:
         """The ``data_csv`` source this config reads."""

@@ -54,6 +54,14 @@ GAUSSIAN_PRESETS = {
 }
 
 
+def gaussian_preset(name: str) -> GaussianMetaSpec:
+    """The spec of the preset ``name`` in :data:`GAUSSIAN_PRESETS`."""
+    if name not in GAUSSIAN_PRESETS:
+        known = ", ".join(sorted(GAUSSIAN_PRESETS))
+        raise ConfigError(f"unknown data preset {name!r} (known: {known})")
+    return GAUSSIAN_PRESETS[name]
+
+
 def generate_gaussian_metaset(
     spec: GaussianMetaSpec, seed: int
 ) -> tuple[MetaDataset, MetaDataset]:
@@ -143,7 +151,7 @@ class TabularSource:
     delimiter: str = ","
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, train_bins=1)
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
         if self.delimiter in "\r\n":  # rows are lines before they are cells

@@ -63,7 +63,8 @@ def check_value(name: str, value, hint, least: int | None = None):
     A bool fits only a bool, an integer also a float, a list or tuple item
     by item. A value that does not fit raises :class:`ConfigTypeError`; a
     non-finite float, or a number (list entry) below ``least``,
-    :class:`ConfigError`. Each message starts with ``name``.
+    :class:`ConfigError`; None passes any bound. Each message starts with
+    ``name``.
     """
     if not _fits(value, hint):
         raise ConfigTypeError(f"{name} must be {_name(hint)}, got {value!r}")
@@ -71,7 +72,7 @@ def check_value(name: str, value, hint, least: int | None = None):
     items = [int(v) if isinstance(v, np.integer) else v for v in (value if seq else [value])]
     if any(isinstance(v, float) and not math.isfinite(v) for v in items):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    if least is not None and any(v < least for v in items):
+    if least is not None and value is not None and any(v < least for v in items):
         bound = f"at least {least}" if least else "nonnegative"
         raise ConfigError(f"{name} must be {bound}, got {value}")
     return tuple(items) if seq else items[0]

@@ -484,6 +484,15 @@ class TestEval:
         assert code == 3
         assert str(ckpt) in capsys.readouterr().err
 
+    def test_bad_data_setting_fails_before_the_checkpoint_is_read(self, tmp_path, capsys):
+        # the checkpoint does not exist: the config must be rejected first
+        config = tmp_path / "exp.toml"
+        config.write_text(TINY_CONFIG.replace("dim = 3", "dim = 0"))
+        code = main(["eval", "--config", str(config), "--model", str(tmp_path / "absent.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: dim must be at least 1, got 0" in err and "absent.ckpt" not in err
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_is_runtime_error(self, value, tiny_config, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"

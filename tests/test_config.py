@@ -1,8 +1,10 @@
 """Experiment config validation and the training settings it carries."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,15 @@ from batchad.training import TrainConfig
          "^anomaly ratio 0.33 with batch_size 2 leaves no normal majority$"),
         # the shared model settings are checked before the training ones
         ({"head": "x", "pi": 0.4}, "^unknown head 'x'$"),
+        # the synthetic source is checked though data_csv is set
+        ({"dim": 0}, "^dim must be at least 1, got 0$"),
+        ({"samples_per_distribution": 1}, "^samples_per_distribution must be at least 2, got 1$"),
+        ({"mean_scale": 0.5}, "^mean_scale must exceed within_scale"),
+        ({"test_distributions": 0}, "^test_distributions must be at least 1, got 0$"),
+        ({"train_distributions": 1}, "^train_distributions must be at least 2, got 1$"),
+        ({"data_preset": "nope"}, r"^unknown data preset 'nope' \(known: gaussian1d, gaussian8\)$"),
+        ({"train_bins": 0}, "^train_bins must be at least 1, got 0$"),
+        ({"eval_batch_size": 1}, "^eval_batch_size must be at least 2, got 1$"),
     ],
     ids=[
         "head", "pi", "iterations", "ratio", "ratio-rounds-to-zero",
@@ -46,7 +57,9 @@ from batchad.training import TrainConfig
         "int-for-bool", "bool-for-float", "list-item", "inline-table",
         "nan-learning-rate", "inf-mean-scale", "nan-within-scale", "inf-ratio",
         "empty-delimiter", "pi-batch-majority", "ratio-twice", "ratio-batch-majority",
-        "model-settings-first",
+        "model-settings-first", "dim", "samples-per-distribution", "mean-under-within",
+        "test-distributions", "train-distributions", "unknown-preset", "train-bins",
+        "eval-batch-size",
     ],
 )
 def test_bad_value_is_config_error_naming_it(values, named, tmp_path):
@@ -123,3 +136,11 @@ def test_validation_builds_no_model():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_readme_config_key_table_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys\n\n", 1)[1].split("\n\n", 1)[0]
+    first_column = "".join(row.split("|")[1] for row in table.splitlines()[2:])
+    keys = re.findall(r"`(\w+)`", first_column)
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))

@@ -12,7 +12,7 @@ import pytest
 
 from batchad.config import ExperimentConfig
 from batchad.data import GaussianMetaSpec, TabularSource, load_tabular
-from batchad.errors import ConfigError, ConfigTypeError
+from batchad.errors import ConfigError, ConfigTypeError, check_value
 from batchad.model import Architecture
 from batchad.training import TrainConfig
 
@@ -98,6 +98,10 @@ PROBES = [
 def test_probe_is_config_error_naming_its_field(cls, kwargs, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
+
+
+def test_none_passes_a_lower_bound():
+    assert check_value("train_bins", None, int | None, 1) is None
 
 
 def test_two_character_delimiter_fails_before_the_file_is_read(tmp_path):
