@@ -13,7 +13,7 @@ import json
 import tomllib
 from dataclasses import asdict, dataclass, fields, replace
 
-from .data import GaussianMetaSpec, TabularSource, gaussian_preset
+from .data import GAUSSIAN_PRESETS, GaussianMetaSpec, TabularSource
 from .errors import ConfigError
 from .evaluation import DEFAULT_RATIOS, check_ratios
 from .training import TrainConfig
@@ -60,11 +60,17 @@ class ExperimentConfig(TrainConfig):
         check_ratios(self.ratios, self.eval_batch_size)
         self.tabular_source()  # each source's own checks, without reading data
         self.gaussian_spec()
+        synthetic = [f.name for f in fields(GaussianMetaSpec) if getattr(self, f.name) is not None]
+        if self.data_csv and synthetic:  # the file's columns would silently win
+            raise ConfigError(f"{synthetic[0]} sets the synthetic source, which data_csv replaces")
 
     def gaussian_spec(self) -> GaussianMetaSpec:
         """The ``data_preset`` spec with every synthetic setting this config sets."""
+        if self.data_preset not in GAUSSIAN_PRESETS:
+            known = ", ".join(sorted(GAUSSIAN_PRESETS))
+            raise ConfigError(f"data_preset must be one of {known}, got {self.data_preset!r}")
         settings = {f.name: getattr(self, f.name) for f in fields(GaussianMetaSpec)}
-        return replace(gaussian_preset(self.data_preset),
+        return replace(GAUSSIAN_PRESETS[self.data_preset],
                        **{k: v for k, v in settings.items() if v is not None})
 
     def tabular_source(self) -> TabularSource:

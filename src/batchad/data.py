@@ -54,14 +54,6 @@ GAUSSIAN_PRESETS = {
 }
 
 
-def gaussian_preset(name: str) -> GaussianMetaSpec:
-    """The spec of the preset ``name`` in :data:`GAUSSIAN_PRESETS`."""
-    if name not in GAUSSIAN_PRESETS:
-        known = ", ".join(sorted(GAUSSIAN_PRESETS))
-        raise ConfigError(f"unknown data preset {name!r} (known: {known})")
-    return GAUSSIAN_PRESETS[name]
-
-
 def generate_gaussian_metaset(
     spec: GaussianMetaSpec, seed: int
 ) -> tuple[MetaDataset, MetaDataset]:

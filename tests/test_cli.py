@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,17 @@ ratios = [0.1]
 def tiny_config(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text(TINY_CONFIG)
+    return path
+
+
+def suite_config(tmp_path, suite):
+    """``TINY_CONFIG`` as a file whose batches hold an anomaly in every cell
+    of ``suite``: the pi suite's 0.99 cell needs a batch of 51 rows or more."""
+    path = tmp_path / "exp.toml"
+    if suite == "pi":
+        path.write_text(TINY_CONFIG.replace("\nbatch_size = 10\n", "\nbatch_size = 60\n"))
+    else:
+        path.write_text(TINY_CONFIG)
     return path
 
 
@@ -474,9 +486,12 @@ class TestEval:
         assert str(ckpt) in capsys.readouterr().err
 
     def test_frozen_checkpoint_without_statistics_fails_before_data(self, tmp_path, capsys):
-        # the data file does not exist: the checkpoint must be rejected first
+        # the data file does not exist: the checkpoint must be rejected first;
+        # a CSV source takes none of the synthetic settings
+        synthetic = {f.name for f in fields(GaussianMetaSpec)}
+        lines = [line for line in TINY_CONFIG.splitlines(True) if line.split()[0] not in synthetic]
         config = tmp_path / "exp.toml"
-        config.write_text(TINY_CONFIG + f'data_csv = "{tmp_path / "absent.csv"}"\n')
+        config.write_text("".join(lines) + f'data_csv = "{tmp_path / "absent.csv"}"\n')
         ckpt = tmp_path / "m.ckpt"
         arch = Architecture(input_dim=3, hidden=(8, 8), latent_dim=4, bn_mode="frozen")
         save_checkpoint(DetectorModel(arch), ckpt)
@@ -543,6 +558,17 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "test side" in err and "anomaly pool" in err
+
+    def test_csv_without_a_timestamp_column_has_no_test_side(self, tmp_path, capsys):
+        # without bins the whole file is one training pool and nothing is left to test on
+        main(["gen-data", "--preset", "gaussian1d", "--out", str(tmp_path)])
+        config = tmp_path / "exp.toml"
+        config.write_text(f'data_csv = "{tmp_path / "metaset.csv"}"\ntimestamp_col = ""\n')
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(DetectorModel(Architecture(input_dim=2)), ckpt)
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: the configured data source has no test side\n"
 
     def test_checkpoint_of_another_width_is_config_error_before_scoring(
         self, tmp_path, monkeypatch, capsys
@@ -631,10 +657,10 @@ class TestAblate:
     def test_unknown_suite_exits_two(self, capsys):
         assert main(["ablate", "--suite", "wat"]) == 2
 
-    def test_pi_suite_emits_five_rows(self, tiny_config, tmp_path, capsys):
+    def test_pi_suite_emits_five_rows(self, tmp_path, capsys):
         results = tmp_path / "r.jsonl"
         code = main([
-            "ablate", "--suite", "pi", "--config", str(tiny_config),
+            "ablate", "--suite", "pi", "--config", str(suite_config(tmp_path, "pi")),
             "--out", str(results),
         ])
         assert code == 0
@@ -693,19 +719,20 @@ class TestAblate:
         ids=["bn-mode", "pi", "batch-size", "bn-position"],
     )
     def test_bn_mode_batch_cell_reads_as_if_trained_alone(
-        self, suite, cell, settings, tiny_config, tmp_path, capsys
+        self, suite, cell, settings, tmp_path, capsys
     ):
         # a batch cell is scored with the parameters of a frozen training,
         # which must give what its own config trained in batch mode gives
+        config = suite_config(tmp_path, suite)
         results = tmp_path / "r.jsonl"
         code = main([
-            "ablate", "--suite", suite, "--config", str(tiny_config), "--out", str(results),
+            "ablate", "--suite", suite, "--config", str(config), "--out", str(results),
         ])
         assert code == 0
         records = [json.loads(line) for line in results.read_text().splitlines()]
         got = next(r for r in records if r["cell"] == cell)
         overrides = {**settings, "bn_mode": "batch", "ratios": [0.1]}
-        cfg = resolve_config(parse_flat_config(TINY_CONFIG), overrides)
+        cfg = resolve_config(parse_flat_config(config.read_text()), overrides)
         train_meta, test_meta = batchad.cli.build_metasets(cfg)
         model, _ = train(train_meta, cfg)
         want = batchad.cli._evaluate(model, test_meta, cfg).per_ratio[0.1]
@@ -743,17 +770,19 @@ class TestAblate:
             ("loss-variant", 2), ("bn-position", 4), ("num-classes", 4),
         ],
     )
-    def test_one_training_per_group(self, suite, models, tiny_config, monkeypatch, capsys):
+    def test_one_training_per_group(self, suite, models, tmp_path, monkeypatch, capsys):
         # batch-size scores one model at seven batch sizes; bn-mode scores its
         # batch cell with the frozen cell's training; every other cell's
         # training settings or meta-sets differ from the rest of its suite's
         calls = spy_on(monkeypatch, "train")
-        assert main(["ablate", "--suite", suite, "--config", str(tiny_config)]) == 0
+        config = suite_config(tmp_path, suite)
+        assert main(["ablate", "--suite", suite, "--config", str(config)]) == 0
         assert len(calls) == models
 
     @pytest.mark.parametrize("suite", ABLATE_SUITES)
-    def test_every_suite_prints_one_cell_column(self, suite, tiny_config, capsys):
-        assert main(["ablate", "--suite", suite, "--config", str(tiny_config)]) == 0
+    def test_every_suite_prints_one_cell_column(self, suite, tmp_path, capsys):
+        config = suite_config(tmp_path, suite)
+        assert main(["ablate", "--suite", suite, "--config", str(config)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split() == ["cell", "auroc"]
         assert isinstance(json.loads(lines[3].rsplit("  ", 1)[0]), dict)

@@ -47,9 +47,13 @@ from batchad.training import TrainConfig
         ({"mean_scale": 0.5}, "^mean_scale must exceed within_scale"),
         ({"test_distributions": 0}, "^test_distributions must be at least 1, got 0$"),
         ({"train_distributions": 1}, "^train_distributions must be at least 2, got 1$"),
-        ({"data_preset": "nope"}, r"^unknown data preset 'nope' \(known: gaussian1d, gaussian8\)$"),
+        ({"data_preset": "nope"}, "^data_preset must be one of gaussian1d, gaussian8, got 'nope'$"),
         ({"train_bins": 0}, "^train_bins must be at least 1, got 0$"),
         ({"eval_batch_size": 1}, "^eval_batch_size must be at least 2, got 1$"),
+        # a valid synthetic setting next to data_csv, which would ignore it
+        ({"dim": 3}, "^dim sets the synthetic source, which data_csv replaces$"),
+        ({"pi": 0.99, "batch_size": 20}, "^pi=0.99 with batch_size=20 rounds to zero anomalies"),
+        ({"loss": "x"}, "^unknown loss 'x'$"),
     ],
     ids=[
         "head", "pi", "iterations", "ratio", "ratio-rounds-to-zero",
@@ -59,7 +63,7 @@ from batchad.training import TrainConfig
         "empty-delimiter", "pi-batch-majority", "ratio-twice", "ratio-batch-majority",
         "model-settings-first", "dim", "samples-per-distribution", "mean-under-within",
         "test-distributions", "train-distributions", "unknown-preset", "train-bins",
-        "eval-batch-size",
+        "eval-batch-size", "synthetic-with-csv", "pi-rounds-to-no-anomaly", "loss",
     ],
 )
 def test_bad_value_is_config_error_naming_it(values, named, tmp_path):

@@ -239,6 +239,18 @@ class TestLoadTabular:
         with pytest.raises(ConfigError, match="^train_bins is required when a timestamp"):
             load_tabular(TabularSource(path))
 
+    def test_header_without_a_feature_column(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["0,0", "1,0"], header="bin,label")
+        with pytest.raises(ConfigError, match="no feature columns$"):
+            load_tabular(TabularSource(path=path, train_bins=1))
+
+    def test_training_bins_of_anomalies_only(self, tmp_path):
+        # the standardization constants are fitted on the training bins' normal rows
+        rows = [f"0,1,{i},{i}" for i in range(5)] + [f"1,0,{i},{i}" for i in range(5)]
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(ConfigError, match="training bins contain no normal rows$"):
+            load_tabular(TabularSource(path=path, train_bins=1))
+
     def test_no_timestamp_column_single_pool(self, tmp_path):
         rows = ["0,1,2", "0,3,4", "1,9,9"]
         path = write_csv(tmp_path / "d.csv", rows, header="label,f0,f1")

@@ -49,6 +49,10 @@ class TestAuroc:
         with pytest.raises(UndefinedMetricError):
             auroc([0.1, 0.2], [1, 1])
 
+    def test_scores_and_labels_of_different_lengths(self):
+        with pytest.raises(ValueError, match="^scores and labels disagree on length$"):
+            auroc([0.1, 0.2, 0.3], [0, 1])
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_pair_counting_with_ties(self, seed):
         rng = np.random.default_rng(seed)
@@ -132,6 +136,10 @@ class TestTvDiagnostic:
         with pytest.raises(ValueError):
             tv_distance_diagnostic(np.zeros((0, 2)), np.zeros((5, 2)))
 
+    def test_rejects_samples_of_different_dimension(self):
+        with pytest.raises(ValueError, match="^samples disagree on dimension$"):
+            tv_distance_diagnostic(np.zeros((5, 2)), np.zeros((5, 3)))
+
 
 def untrained_model(dim=8, seed=0, **kw):
     return DetectorModel(
@@ -153,6 +161,12 @@ class TestScoreBatch:
         model = untrained_model(dim=4)
         with pytest.raises(BatchTooSmallError):
             model.score_batch(np.ones((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(10, 3), (2, 10, 5)], ids=["batch", "stack"])
+    def test_wrong_width_is_rejected_naming_both(self, shape):
+        model = untrained_model(dim=4)
+        with pytest.raises(ValueError, match=f"^model expects 4 features, got {shape[-1]}$"):
+            model.score_batch(np.ones(shape))
 
     def test_shift_removed_when_first_layer_normalizes(self):
         model = untrained_model(dim=4, seed=3, input_bn=True)

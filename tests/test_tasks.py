@@ -60,6 +60,21 @@ class TestMetaDataset:
         assert np.all(meta.anomaly_pool == -1.0)
 
 
+    @pytest.mark.parametrize(
+        "pools, ids, anomaly_pool, message",
+        [
+            ((), (), None, "^a meta-set needs at least one pool$"),
+            ((np.ones((3, 2)),) * 2, (0,), None, "^ids and pools must have equal length$"),
+            ((np.ones((3, 2)),) * 2, (1, 1), None, "^pool ids must be unique$"),
+            ((np.ones((3, 2)),), (0,), np.ones((3, 4)),
+             r"^pools disagree on feature dimension: \[2, 4\]$"),
+        ],
+        ids=["no-pool", "ids-length", "ids-repeated", "anomaly-dimension"],
+    )
+    def test_rejects_an_inconsistent_meta_set(self, pools, ids, anomaly_pool, message):
+        with pytest.raises(ConfigError, match=message):
+            MetaDataset(pools=pools, ids=ids, anomaly_pool=anomaly_pool)
+
     def test_rejects_an_empty_pool(self):
         # an empty pool has no row to draw; its offset is the next pool's
         with pytest.raises(ConfigError, match="at least one row"):

@@ -372,6 +372,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="center"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("tail, too", [(8, "trailing"), (-8, "too few")])
+    def test_blob_of_the_wrong_length_is_rejected(self, tail, too, tmp_path):
+        # frozen statistics follow the parameters: a short blob can still
+        # hold every parameter the header's architecture needs
+        path = tmp_path / "model.ckpt"
+        model, _ = train(toy_two_pool_meta(n=300), small_cfg(iterations=2, bn_mode="frozen"))
+        save_checkpoint(model, path)
+        self.rewrite(path, lambda params: None, tail)
+        with pytest.raises(ValueError, match=f"^checkpoint {path} has {too} bytes$"):
+            load_checkpoint(path)
+
     def test_parameter_listed_twice_is_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         self.rewrite(path, lambda params: params.append(["center", [4]]), 4 * 8)
