@@ -641,7 +641,7 @@ def test_unusable_path_is_exit_two_before_training(case, tiny_config, tmp_path, 
             "eval", "--config", str(tiny_config), "--model", str(ckpt), "--out", str(folder)
         ],
         "ablate-out-is-dir": [
-            "ablate", "--suite", "pi", "--config", str(tiny_config), "--out", str(folder)
+            "ablate", "--suite", "bn-mode", "--config", str(tiny_config), "--out", str(folder)
         ],
         "train-out-under-file": ["train", "--config", str(tiny_config), "--out", str(plain / "m")],
         "gen-data-out-under-file": ["gen-data", "--out", str(plain / "data")],
