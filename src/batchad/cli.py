@@ -29,6 +29,7 @@ from .data import (
 from .errors import ConfigError, check_value
 from .evaluation import collect_latents, evaluate, tv_distance_diagnostic
 from .model import DetectorModel, load_checkpoint, save_checkpoint
+from .tasks import normal_count
 from .training import TrainConfig, train
 
 
@@ -172,6 +173,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
+    # the shift diagnostic's training batches, at the share collect_latents hands the sampler
+    normal_count(1.0 - (1.0 - cfg.pi), cfg.eval_batch_size,
+                 f"pi={cfg.pi} with eval_batch_size={cfg.eval_batch_size}")
     if args.out:
         _output_file(args.out)
     model = load_checkpoint(args.model)

@@ -34,8 +34,9 @@ CELL_THREADS = 2
 
 
 def check_ratios(ratios, batch_size: int) -> list[float]:
-    """The anomaly ratios as floats, each in (0, 0.5), listed once, and
-    leaving an anomaly and a normal majority in a ``batch_size``-row batch."""
+    """The anomaly ratios as floats, each in (0, 0.5) and listed once, the
+    normal share 1 - r of each ratio r passing :func:`normal_count`'s rule
+    in a ``batch_size``-row batch."""
     check_value("batch_size", batch_size, int, 2)
     ratios = [float(r) for r in ratios]
     if not ratios:
@@ -45,16 +46,7 @@ def check_ratios(ratios, batch_size: int) -> list[float]:
             raise ConfigError(f"anomaly ratio must lie in (0, 0.5), got {r}")
         if r in ratios[:i]:  # the report is keyed by ratio
             raise ConfigError(f"anomaly ratio {r} is listed twice")
-        try:
-            normals = normal_count(1.0 - r, batch_size)
-        except ConfigError:  # its message names pi = 1 - r, which no one set
-            raise ConfigError(
-                f"anomaly ratio {r} with batch_size {batch_size} leaves no normal majority"
-            ) from None
-        if normals >= batch_size:
-            raise ConfigError(
-                f"ratio {r} with batch_size {batch_size} rounds to zero anomalies per batch"
-            )
+        normal_count(1.0 - r, batch_size, f"anomaly ratio {r} with batch_size {batch_size}")
     return ratios
 
 

@@ -80,18 +80,21 @@ class MetaDataset:
         return self.k > 1 or self.anomaly_pool is not None
 
 
-def normal_count(pi: float, batch_size: int) -> int:
-    """Deterministic per-batch count of normal rows: round(pi * B).
+def normal_count(share: float, batch_size: int, what: str | None = None) -> int:
+    """Deterministic per-batch count of normal rows: round(share * B).
 
-    Rejects combinations where rounding would break the normal-majority
-    guarantee (only possible for tiny batches with pi near 0.5).
+    The one rule for every batch mixture: the count must be a majority of
+    the batch, and for a share below 1 it must leave at least one anomaly.
+    A pair that breaks it is a :class:`ConfigError` whose message starts
+    with ``what``, by default ``pi=<share> with batch_size=<B>``.
     """
-    n = round(pi * batch_size)
+    n = round(share * batch_size)
+    if n * 2 > batch_size and (n < batch_size or share >= 1.0):
+        return n
+    what = what or f"pi={share} with batch_size={batch_size}"
     if n * 2 <= batch_size:
-        raise ConfigError(
-            f"pi={pi} with batch_size={batch_size} does not give a normal majority"
-        )
-    return n
+        raise ConfigError(f"{what} does not give a normal majority")
+    raise ConfigError(f"{what} rounds to zero anomalies per batch")
 
 
 def build_contaminated_task(

@@ -55,9 +55,7 @@ class TrainConfig(ModelSettings):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.5 < self.pi <= 1.0:
             raise ConfigError(f"pi must lie in (0.5, 1], got {self.pi}")
-        if self.pi < 1.0 and normal_count(self.pi, self.batch_size) == self.batch_size:
-            raise ConfigError(f"pi={self.pi} with batch_size={self.batch_size} rounds to zero "
-                              "anomalies per batch")
+        normal_count(self.pi, self.batch_size)
 
     def architecture(self, input_dim: int) -> Architecture:
         """The detector this config trains, for ``input_dim`` features."""

@@ -508,6 +508,37 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error: dim must be at least 1, got 0" in err and "absent.ckpt" not in err
 
+    def test_diagnostic_without_a_normal_majority_fails_before_the_checkpoint_is_read(
+        self, tmp_path, capsys
+    ):
+        # the shift diagnostic samples the training side at pi in eval_batch_size
+        # rows: round(0.55 * 4) = 2 of 4 rows is no majority
+        config = tmp_path / "exp.toml"
+        config.write_text(TINY_CONFIG.replace("pi = 0.8", "pi = 0.55")
+                          .replace("eval_batch_size = 10", "eval_batch_size = 4")
+                          .replace("ratios = [0.1]", "ratios = [0.25]"))
+        code = main(["eval", "--config", str(config), "--model", str(tmp_path / "absent.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: pi=0.55 with eval_batch_size=4 does not give a normal majority" in err
+        assert "absent.ckpt" not in err
+
+    def test_diagnostic_without_a_contaminant_fails_before_the_checkpoint_is_read(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        ckpt = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config), "--out", str(ckpt)])
+        # training batches of 60 rows hold 3 contaminants at pi = 0.95, but the
+        # diagnostic's 10-row batches round to all 10 rows normal
+        config = tmp_path / "eval.toml"
+        config.write_text(TINY_CONFIG.replace("pi = 0.8", "pi = 0.95")
+                          .replace("\nbatch_size = 10\n", "\nbatch_size = 60\n"))
+        loads = spy_on(monkeypatch, "load_checkpoint")
+        code = main(["eval", "--config", str(config), "--model", str(ckpt)])
+        assert code == 2 and loads == []
+        err = capsys.readouterr().err
+        assert "error: pi=0.95 with eval_batch_size=10 rounds to zero anomalies per batch" in err
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_is_runtime_error(self, value, tiny_config, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -38,7 +38,7 @@ from batchad.training import TrainConfig
         ({"pi": 0.51, "batch_size": 10}, "pi=0.51 with batch_size=10 does not give a normal"),
         ({"ratios": [0.1, 0.2, 0.10]}, "^anomaly ratio 0.1 is listed twice$"),
         ({"ratios": [0.33], "eval_batch_size": 2},
-         "^anomaly ratio 0.33 with batch_size 2 leaves no normal majority$"),
+         "^anomaly ratio 0.33 with batch_size 2 does not give a normal majority$"),
         # the shared model settings are checked before the training ones
         ({"head": "x", "pi": 0.4}, "^unknown head 'x'$"),
         # the synthetic source is checked though data_csv is set

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchad.errors import ConfigError
 from batchad.tasks import (
     MetaDataset,
     build_contaminated_task,
     hoeffding_violation_bound,
+    normal_count,
     sample_iteration_tasks,
 )
 from batchad.training import TrainConfig
@@ -136,11 +138,14 @@ class TestBuildContaminatedTask:
                 try:
                     _x, y = one_task(meta, 0, pi, b, rng)
                 except ConfigError:
-                    # rounding would have broken the majority; rejected upfront
-                    assert round(pi * b) * 2 <= b
+                    # rounding would have broken the majority or left no
+                    # anomaly; rejected upfront
+                    n = round(pi * b)
+                    assert n * 2 <= b or (n == b and pi < 1.0)
                     continue
                 assert (y == 0).sum() == round(pi * b)
                 assert (y == 0).sum() > b / 2
+                assert (y == 1).sum() >= 1
 
     def test_seeded_reproducibility(self):
         meta = tagged_meta()
@@ -149,13 +154,44 @@ class TestBuildContaminatedTask:
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    share=st.floats(0.5, 1.0, exclude_min=True),
+    batch_size=st.integers(2, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normal_count_is_the_one_mixture_rule(share, batch_size, seed):
+    # the rule: round(share * B) normal rows, a majority, and for a share
+    # below 1 at least one contaminant; the sampler draws by the same rule
+    n = round(share * batch_size)
+    accepted = n * 2 > batch_size and (n < batch_size or share == 1.0)
+    what = f"share {share} in {batch_size} rows"
+    meta = tagged_meta(k=3, n=5)
+    rng = np.random.default_rng(seed)
+    if not accepted:
+        with pytest.raises(ConfigError) as refused:
+            normal_count(share, batch_size, what)
+        assert str(refused.value).startswith(what + " ")
+        with pytest.raises(ConfigError):
+            build_contaminated_task(meta, [0, 1, 2], share, batch_size, rng)
+        return
+    assert normal_count(share, batch_size, what) == n
+    _x, y = build_contaminated_task(meta, [0, 1, 2], share, batch_size, rng)
+    assert np.all((y == 0).sum(axis=1) == n)
+    if share < 1.0:
+        assert np.all((y == 1).sum(axis=1) >= 1)
+
+
 class TestStackedSampler:
     def test_every_task_has_the_exact_normal_count(self):
         meta = tagged_meta(k=5)
-        for pi, b in ((0.8, 60), (0.95, 60), (0.7, 31), (0.99, 11)):
+        for pi, b in ((0.8, 60), (0.95, 60), (0.7, 31)):
             _x, y = build_contaminated_task(meta, np.arange(200) % 5, pi, b, np.random.default_rng(4))
             assert y.shape == (200, b)
             assert np.all((y == 0).sum(axis=1) == round(pi * b))
+        # round(0.99 * 11) is all 11 rows: no task may hold no contaminant
+        with pytest.raises(ConfigError, match="^pi=0.99 with batch_size=11 rounds to zero anomalies"):
+            build_contaminated_task(meta, np.arange(200) % 5, 0.99, 11, np.random.default_rng(4))
 
     def test_contaminants_never_come_from_the_own_pool(self):
         meta = tagged_meta(k=4)
