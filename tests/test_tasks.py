@@ -189,7 +189,7 @@ class TestStackedSampler:
             _x, y = build_contaminated_task(meta, np.arange(200) % 5, pi, b, np.random.default_rng(4))
             assert y.shape == (200, b)
             assert np.all((y == 0).sum(axis=1) == round(pi * b))
-        # round(0.99 * 11) is all 11 rows: no task may hold no contaminant
+        # round(0.99 * 11) is all 11 rows, and every task must hold a contaminant
         with pytest.raises(ConfigError, match="^pi=0.99 with batch_size=11 rounds to zero anomalies"):
             build_contaminated_task(meta, np.arange(200) % 5, 0.99, 11, np.random.default_rng(4))
 
